@@ -22,6 +22,7 @@ import numpy as np
 
 from . import _quad
 from .errors import DivergenceError, DomainError
+from .functions import read_table_csv
 
 PROB_TOL = 1e-12
 ORACLE_MAX_ATOMS = 10_000
@@ -37,7 +38,7 @@ class DiscreteLaw:
             raise DomainError("need equal-length non-empty value/probability arrays")
         if not np.all(np.isfinite(values)):
             raise DomainError("atom values must be finite")
-        if np.any(probs <= 0.0):
+        if not np.all(probs > 0.0):  # NaN is not positive either
             raise DomainError("atom probabilities must be positive")
         if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
             raise DomainError(f"probabilities sum to {np.sum(probs)}, not 1")
@@ -94,15 +95,7 @@ class DiscreteLaw:
 
     @classmethod
     def from_csv(cls, path):
-        values, probs = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if row[0].strip() == "value":
-                    continue
-                values.append(float(row[0]))
-                probs.append(float(row[1]))
+        values, probs, _ = read_table_csv(path, "value")
         return cls(values, probs)
 
     def __repr__(self):

@@ -40,7 +40,7 @@ from . import __version__
 from . import attainability as attn
 from . import constructions, functions, market, optimizer
 from .choquet import DiscreteLaw, cpt_value
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 ENV_PREFIX = "CPTQ_"
 
@@ -106,12 +106,21 @@ def _require(cfg, key):
     return cfg[key]
 
 
+def _load_path(cfg, key, loader):
+    """``loader`` applied to the file at ``key``; a bad file is a config error."""
+    path = str(_require(cfg, key))
+    try:
+        return loader(path)
+    except (OSError, DomainError) as exc:
+        raise ConfigError(f"{key} = {path}: {exc}") from exc
+
+
 def build_kernel(cfg):
     model = _require(cfg, "kernel.model")
     if model == "lognormal":
         return market.LognormalKernel(float(_require(cfg, "kernel.sigma")))
     if model == "custom_quantile":
-        return market.TableKernel.from_csv(_require(cfg, "kernel.path"))
+        return _load_path(cfg, "kernel.path", market.TableKernel.from_csv)
     raise ConfigError(f"unknown kernel.model '{model}'")
 
 
@@ -132,7 +141,7 @@ def build_utility(cfg, side):
             float(_require(cfg, f"{prefix}.shape")),
         )
     if kind == "custom":
-        return functions.TableUtility.from_csv(_require(cfg, f"{prefix}.path"))
+        return _load_path(cfg, f"{prefix}.path", functions.TableUtility.from_csv)
     raise ConfigError(f"unknown {prefix}.kind '{kind}'")
 
 
@@ -155,7 +164,7 @@ def build_distortion(cfg, side, u_minus=None):
             u_minus, float(_require(cfg, f"{prefix}.delta"))
         )
     if kind == "custom":
-        return functions.TableDistortion.from_csv(_require(cfg, f"{prefix}.path"))
+        return _load_path(cfg, f"{prefix}.path", functions.TableDistortion.from_csv)
     raise ConfigError(f"unknown {prefix}.kind '{kind}'")
 
 
@@ -193,7 +202,7 @@ def _write_json(path, payload):
 
 
 def cmd_value(cfg, out_dir, seed):
-    law = DiscreteLaw.from_csv(_require(cfg, "law.path"))
+    law = _load_path(cfg, "law.path", DiscreteLaw.from_csv)
     u_plus, u_minus, w_plus, w_minus = build_preferences(cfg)
     value = cpt_value(law, u_plus, u_minus, w_plus, w_minus)
     print(value)

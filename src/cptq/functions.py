@@ -319,7 +319,7 @@ class TableUtility(UtilityFunction):
 
     @classmethod
     def from_csv(cls, path):
-        xs, values, saturation = _read_table_csv(path, "x")
+        xs, values, saturation = read_table_csv(path, "x", header_required=True)
         return cls(xs, values, saturation=saturation)
 
     def __call__(self, x):
@@ -539,7 +539,7 @@ class TableDistortion(DistortionFunction):
 
     @classmethod
     def from_csv(cls, path):
-        xs, values, _ = _read_table_csv(path, "x")
+        xs, values, _ = read_table_csv(path, "x", header_required=True)
         return cls(xs, values)
 
     def __call__(self, p):
@@ -637,35 +637,39 @@ def bracketed_inverse(utility, y, rtol=1e-10):
     return 0.5 * (lo + hi)
 
 
-def _read_table_csv(path, first_column):
-    """Read a two-column table CSV with an optional saturation comment."""
+def read_table_csv(path, header, header_required=False):
+    """(first column, second column, saturation) of a two-column numeric CSV.
+
+    Empty lines and ``#`` comments are skipped; ``# saturation=<value>`` sets
+    the saturation (inf if absent).  A first row starting with ``header`` is
+    the header, mandatory if ``header_required``.  A malformed row raises
+    ``DomainError`` naming the file and the line.
+    """
     saturation = math.inf
-    xs, values = [], []
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = []
     header_seen = False
-    for row in rows:
-        if not row:
-            continue
-        cell = row[0].strip()
-        if cell.startswith("#"):
-            text = ",".join(row).lstrip("#").strip()
-            if text.startswith("saturation="):
-                token = text.split("=", 1)[1].strip()
-                saturation = math.inf if token == "inf" else float(token)
-            continue
-        if not header_seen:
-            if cell != first_column:
-                raise DomainError(
-                    f"table header must be '{first_column},value', got {row!r}"
-                )
-            header_seen = True
-            continue
-        xs.append(float(row[0]))
-        values.append(float(row[1]))
-    if not header_seen or len(xs) < 2:
-        raise DomainError("table CSV needs a header row and at least two rows")
-    return np.asarray(xs), np.asarray(values), saturation
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                try:
+                    rows.append((float(row[0]), float(row[1])))
+                except (IndexError, ValueError):
+                    cell = row[0].strip() if row else "#"
+                    if cell.startswith("#"):
+                        text = ",".join(row).strip().lstrip("#").strip()
+                        if text.startswith("saturation="):
+                            saturation = float(text.split("=", 1)[1])
+                    elif rows or header_seen or cell != header:
+                        raise ValueError(f"expected two numbers, got {row!r}") from None
+                    else:
+                        header_seen = True
+        except ValueError as exc:
+            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from None
+    if header_required and not header_seen:
+        raise DomainError(f"{path}: table must start with the header '{header},value'")
+    first, second = np.array(rows).reshape(-1, 2).T.copy()
+    return first, second, saturation
 
 
 UTILITY_KINDS = {

@@ -9,12 +9,13 @@ U = F_rho(rho), this cost becomes
 
 the cheapest arrangement of the law nu (Hardy-Littlewood).  Kernels expose
 exact partial expectations of q_rho so that step-quantile payoffs are priced
-without quadrature error.
+without quadrature error.  Table and discrete kernels share one tail
+integral, ``_piecewise_tail``: a reverse cumsum of exact cell integrals, one
+searchsorted per level and its partial cell (a discrete kernel is the step case).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -24,12 +25,17 @@ from scipy.special import ndtr, ndtri
 from . import _quad
 from .choquet import DiscreteLaw, QuantileLaw
 from .errors import DivergenceError, DomainError
+from .functions import read_table_csv
 
 UNIT_MEAN_TOL = 1e-9
 
 
 class PricingKernel:
-    """Base class for models of the law of rho."""
+    """Base class for models of the law of rho.
+
+    Each model declares ``continuous``: True when the law of rho has no
+    atoms, i.e. its quantile function is strictly increasing.
+    """
 
     model = "abstract"
 
@@ -37,8 +43,8 @@ class PricingKernel:
         raise NotImplementedError
 
     def quantile_upper(self, eps):
-        """q_rho(1 - eps), computed stably for tiny eps."""
-        raise NotImplementedError
+        """q_rho(1 - eps); overridden where tiny eps needs a stable form."""
+        return self.quantile(1.0 - np.asarray(eps, dtype=float))
 
     def cdf(self, x):
         raise NotImplementedError
@@ -50,6 +56,11 @@ class PricingKernel:
     def tail_expectation(self, eps):
         """integral_{1-eps}^1 q_rho(x) dx, exact per model, stable for tiny eps."""
         raise NotImplementedError
+
+    def continuity_evidence(self):
+        """[p, q_rho(p)] points behind ``continuous``: a coarse quantile probe."""
+        grid = np.linspace(1e-6, 1.0 - 1e-6, 257)[::32]
+        return [[float(p), float(q)] for p, q in zip(grid, self.quantile(grid))]
 
     def partial_expectation(self, lo, hi):
         """integral_lo^hi q_rho(x) dx."""
@@ -83,6 +94,7 @@ class LognormalKernel(PricingKernel):
     """
 
     model = "lognormal"
+    continuous = True
 
     def __init__(self, sigma):
         if sigma <= 0:
@@ -128,8 +140,40 @@ class LognormalKernel(PricingKernel):
         out = np.where(eps == 0.0, 0.0, np.where(eps == 1.0, 1.0, ndtr(-(z - self.sigma))))
         return float(out) if eps.ndim == 0 else out
 
+    def continuity_evidence(self):
+        return super().continuity_evidence()[::8]  # the probe's two ends
+
     def __repr__(self):
         return f"LognormalKernel(sigma={self.sigma})"
+
+
+def _cell_edges(probs):
+    """[0, cumulative probabilities], ending at 1.  Probabilities sum to 1 only
+    within PROB_TOL: clipping keeps every cell's width non-negative."""
+    edges = np.concatenate(([0.0], np.minimum(np.cumsum(probs), 1.0)))
+    edges[-1] = 1.0
+    return edges
+
+
+def _piecewise_tail(edges, left, right, eps):
+    """integral_{1-eps}^1 of a piecewise-linear quantile, for an array of eps.
+
+    Cell i spans [edges[i], edges[i+1]] and runs linearly from left[i] to
+    right[i]; a step quantile has left == right.  Cells may have zero width.
+    """
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps < 0.0) or np.any(eps > 1.0):
+        raise DomainError("tail mass must lie in [0, 1]")
+    widths = np.diff(edges)
+    # above[i]: integral over cells i, i+1, ...; above[-1] = 0
+    above = np.append(np.cumsum((0.5 * (left + right) * widths)[::-1])[::-1], 0.0)
+    lo = 1.0 - eps
+    # the cell holding lo; side="right" never picks a zero-width cell below 1
+    i = np.clip(np.searchsorted(edges, lo, side="right") - 1, 0, widths.size - 1)
+    frac = np.divide(lo - edges[i], widths[i], out=np.zeros(np.shape(lo)), where=widths[i] > 0.0)
+    q_lo = left[i] + (right[i] - left[i]) * frac
+    out = above[i + 1] + 0.5 * (q_lo + right[i]) * (edges[i + 1] - lo)
+    return float(out) if eps.ndim == 0 else out
 
 
 class TableKernel(PricingKernel):
@@ -149,9 +193,9 @@ class TableKernel(PricingKernel):
             raise DomainError("kernel table needs two equal-length columns")
         if ps[0] != 0.0 or ps[-1] != 1.0:
             raise DomainError("kernel table must cover probability range [0, 1]")
-        if np.any(np.diff(ps) <= 0):
+        if not np.all(np.diff(ps) > 0):
             raise DomainError("probability knots must be strictly increasing")
-        if np.any(qs <= 0.0):
+        if not np.all(qs > 0.0):
             raise DomainError("kernel quantile values must be positive")
         dq = np.diff(qs)
         if strict and np.any(dq <= 0):
@@ -163,15 +207,7 @@ class TableKernel(PricingKernel):
 
     @classmethod
     def from_csv(cls, path):
-        ps, qs = [], []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if row[0].strip() == "p":
-                    continue
-                ps.append(float(row[0]))
-                qs.append(float(row[1]))
+        ps, qs, _ = read_table_csv(path, "p")
         return cls(ps, qs, strict=True)
 
     def quantile(self, p):
@@ -180,9 +216,6 @@ class TableKernel(PricingKernel):
             raise DomainError("quantile level must lie in [0, 1]")
         out = np.interp(p, self.ps, self.qs)
         return float(out) if p.ndim == 0 else out
-
-    def quantile_upper(self, eps):
-        return self.quantile(1.0 - np.asarray(eps, dtype=float))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -193,20 +226,18 @@ class TableKernel(PricingKernel):
         return float(out) if x.ndim == 0 else out
 
     def tail_expectation(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        if np.any(eps < 0.0) or np.any(eps > 1.0):
-            raise DomainError("tail mass must lie in [0, 1]")
-        scalar = eps.ndim == 0
-        out = np.array([self._tail_one(e) for e in np.atleast_1d(eps)])
-        return float(out[0]) if scalar else out
+        return _piecewise_tail(self.ps, self.qs[:-1], self.qs[1:], eps)
 
-    def _tail_one(self, eps):
-        lo = 1.0 - eps
-        # exact integral of the piecewise-linear quantile over [lo, 1]
-        idx = np.searchsorted(self.ps, lo, side="right")
-        knots = np.concatenate(([lo], self.ps[idx:]))
-        vals = np.concatenate(([np.interp(lo, self.ps, self.qs)], self.qs[idx:]))
-        return float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(knots)))
+    @property
+    def continuous(self):
+        return bool(np.all(np.diff(self.qs) > 0.0))
+
+    def continuity_evidence(self):
+        """The knots bounding flat stretches (atoms), if there are any."""
+        flat = np.flatnonzero(np.diff(self.qs) <= 0.0)
+        knots = np.union1d(flat, flat + 1)[:8]
+        evidence = [[float(self.ps[i]), float(self.qs[i])] for i in knots]
+        return evidence or super().continuity_evidence()
 
     def __repr__(self):
         return f"TableKernel({self.ps.size} knots)"
@@ -219,6 +250,7 @@ class DiscreteKernel(PricingKernel):
     """
 
     model = "custom_quantile"
+    continuous = False
 
     def __init__(self, values, probs):
         law = DiscreteLaw(values, probs)  # validates
@@ -227,44 +259,23 @@ class DiscreteKernel(PricingKernel):
         self.probs = law.probs[order]
         if np.any(self.values <= 0.0):
             raise DomainError("kernel values must be positive")
-        self.cum = np.cumsum(self.probs)
-        self.cum[-1] = 1.0
+        self.edges = _cell_edges(self.probs)
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
         if np.any(p < 0.0) or np.any(p > 1.0):
             raise DomainError("quantile level must lie in [0, 1]")
-        idx = np.clip(np.searchsorted(self.cum, p, side="left"), 0, self.values.size - 1)
+        idx = np.clip(np.searchsorted(self.edges[1:], p, side="left"), 0, self.values.size - 1)
         out = self.values[idx]
         return float(out) if p.ndim == 0 else out
 
-    def quantile_upper(self, eps):
-        return self.quantile(1.0 - np.asarray(eps, dtype=float))
-
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.values, x, side="right")
-        out = np.where(idx > 0, self.cum[np.clip(idx - 1, 0, None)], 0.0)
+        out = self.edges[np.searchsorted(self.values, x, side="right")]
         return float(out) if x.ndim == 0 else out
 
     def tail_expectation(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        if np.any(eps < 0.0) or np.any(eps > 1.0):
-            raise DomainError("tail mass must lie in [0, 1]")
-        scalar = eps.ndim == 0
-        out = []
-        for e in np.atleast_1d(eps):
-            lo = 1.0 - e
-            acc = 0.0
-            prev = 0.0
-            for v, c in zip(self.values, self.cum):
-                seg_lo = max(prev, lo)
-                if c > seg_lo:
-                    acc += v * (c - seg_lo)
-                prev = c
-            out.append(acc)
-        out = np.asarray(out)
-        return float(out[0]) if scalar else out
+        return _piecewise_tail(self.edges, self.values, self.values, eps)
 
     def __repr__(self):
         return f"DiscreteKernel({self.values.size} states)"
@@ -329,22 +340,8 @@ def check_assumptions(kernel, moment_orders=(1, 2, 4, 8, 16), tail_levels=14):
     The verdicts are numeric evidence on finite ladders, not proofs; every
     probe is recorded in the report.
     """
-    # continuity of the distribution <=> strictly increasing quantile
-    grid = np.linspace(1e-6, 1.0 - 1e-6, 257)
-    qs = np.asarray(kernel.quantile(grid), dtype=float)
-    gaps = np.diff(qs)
-    if isinstance(kernel, LognormalKernel):
-        continuous = "yes"
-        evidence = [[float(grid[0]), float(qs[0])], [float(grid[-1]), float(qs[-1])]]
-    elif isinstance(kernel, DiscreteKernel):
-        continuous = "no"
-        evidence = [[float(p), float(q)] for p, q in zip(grid[::32], qs[::32])]
-    else:
-        continuous = "yes" if np.all(gaps > 0.0) else "no"
-        flat = np.flatnonzero(gaps <= 0.0)[:8]
-        evidence = [[float(grid[i]), float(qs[i])] for i in (flat if flat.size else range(0, 257, 32))]
-
-    report = AssumptionReport(continuous_cdf=continuous, continuous_evidence=evidence)
+    report = AssumptionReport(continuous_cdf="yes" if kernel.continuous else "no",
+                              continuous_evidence=kernel.continuity_evidence())
 
     levels = [10.0 ** -j for j in range(1, tail_levels + 1)]
     top = [float(kernel.quantile_upper(e)) for e in levels]
@@ -399,17 +396,13 @@ def budget(kernel, law, rtol=1e-8):
 def _budget_steps(kernel, law, anti):
     order = np.argsort(law.values, kind="stable")
     vals = law.values[order]
-    cum = np.cumsum(law.probs[order])
-    cum[-1] = 1.0
-    edges = np.concatenate(([0.0], cum))
+    edges = _cell_edges(law.probs[order])
     if anti:
         # payoff cell (c_{j-1}, c_j) occupies kernel states (1-c_j, 1-c_{j-1});
         # accumulate in tail space so tiny cells keep full precision
-        tails = kernel.tail_expectation(edges)
-        masses = np.diff(tails)
+        masses = np.diff(kernel.tail_expectation(edges))
     else:
-        tails = kernel.tail_expectation(1.0 - edges)
-        masses = -np.diff(tails)
+        masses = -np.diff(kernel.tail_expectation(1.0 - edges))
     return float(np.sum(vals * masses))
 
 

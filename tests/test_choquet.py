@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,13 @@ def test_law_csv_round_trip(tmp_path):
     back = DiscreteLaw.from_csv(path)
     assert np.array_equal(back.values, law.values)
     assert np.array_equal(back.probs, law.probs)
+    # the header is optional; a malformed row is named by file and line
+    path.write_text("# fixture\n0.5,0.5\n1.0,0.5\n")
+    assert np.array_equal(DiscreteLaw.from_csv(path).values, [0.5, 1.0])
+    for bad in ("value,prob\n0.5,0.5\n1.0,half\n", "value,prob\n0.5,0.5\n1.0\n"):
+        path.write_text(bad)
+        with pytest.raises(DomainError, match=re.escape(f"{path}, line 3")):
+            DiscreteLaw.from_csv(path)
 
 
 def test_law_validation():
@@ -180,3 +188,5 @@ def test_law_validation():
         DiscreteLaw([math.inf], [1.0])
     with pytest.raises(DomainError):
         DiscreteLaw([1.0, 2.0], [1.0, -0.0])
+    with pytest.raises(DomainError):
+        DiscreteLaw([1.0, 2.0], [math.nan, 1.0])  # a "nan" cell in a law CSV

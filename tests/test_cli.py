@@ -165,6 +165,24 @@ def test_unknown_kind_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("table", [
+    "p,q\n0.0,0.5\n0.5,1.0\n1.0,1.0\n",  # flat stretch
+    "p,q\n0.0,0.5\n0.5,one\n1.0,2.0\n",  # non-numeric cell
+    "p,q\n0.0,0.5\n0.5,nan\n1.0,2.0\n",  # NaN cell
+    None,                                  # no such file
+], ids=["flat", "non_numeric", "nan", "missing"])
+def test_bad_kernel_table_is_config_error(tmp_path, capsys, table):
+    path = tmp_path / "kernel.csv"
+    if table is not None:
+        path.write_text(table)
+    table_kernel = f"kernel.model = custom_quantile\nkernel.path = {path}"
+    cfg = _write(tmp_path, "k.cfg", CHECK_CFG.replace(
+        "kernel.model = lognormal\nkernel.sigma = 0.2", table_kernel))
+    rc = cli.main(["check", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"kernel.path = {path}" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     rc = cli.main(["check", "--config", str(tmp_path / "nope.cfg"),
                    "--out", str(tmp_path)])

@@ -215,3 +215,6 @@ def test_table_distortion(tmp_path):
     w = F.TableDistortion.from_csv(path)
     assert w(0.25) == 0.125
     assert w(1.0) == 1.0
+    path.write_text("0.0,0.0\n0.5,0.25\n1.0,1.0\n")
+    with pytest.raises(DomainError, match="must start with the header"):
+        F.TableDistortion.from_csv(path)  # tabulated functions need the header

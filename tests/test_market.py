@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cptq import functions as F
@@ -123,11 +126,15 @@ def test_check_assumptions_discrete_kernel():
 
 
 def test_flat_table_kernel_reported():
-    k = TableKernel([0.0, 0.3, 0.6, 1.0], [0.5, 1.0, 1.0, 2.0])
-    rep = check_assumptions(k, moment_orders=(1,))
-    assert rep.continuous_cdf == "no"
-    # atom mass visible through the cdf
-    assert abs(k.cdf(1.0) - 0.6) < 1e-12
+    # the second atom is narrower than a 257-point probe grid's spacing
+    for ps, atom in (([0.0, 0.3, 0.6, 1.0], 0.6), ([0.0, 0.5, 0.501, 1.0], 0.501)):
+        k = TableKernel(ps, [0.5, 1.0, 1.0, 2.0])
+        rep = check_assumptions(k, moment_orders=(1,))
+        assert rep.continuous_cdf == "no"
+        # the evidence is the flat stretch's own knots
+        assert [atom, 1.0] in rep.continuous_evidence
+        # atom mass visible through the cdf
+        assert abs(k.cdf(1.0) - atom) < 1e-12
 
 
 def test_budget_degenerate_kernel_is_expectation():
@@ -135,6 +142,14 @@ def test_budget_degenerate_kernel_is_expectation():
     law = DiscreteLaw([2.0, -1.0, 5.0], [0.3, 0.2, 0.5])
     expected = float(np.sum(law.values * law.probs))
     assert abs(budget(k, law) - expected) < 1e-14
+
+
+def test_budget_law_summing_past_one(lognormal):
+    # probabilities that sum to 1 only within PROB_TOL are priced, not refused
+    law = DiscreteLaw([1.0, 2.0, 3.0], [0.7, 0.3 + 5e-13, 1e-13])
+    lo, up = hardy_littlewood_check(lognormal, law)
+    assert budget(lognormal, law) == lo < up
+    assert abs(budget(DiscreteKernel([1.0], [1.0]), law) - 1.3) < 1e-12
 
 
 def test_budget_constant_payoff(lognormal):
@@ -245,3 +260,129 @@ def test_discrete_kernel_tail_expectation():
     assert abs(k.tail_expectation(0.5) - 0.75) < 1e-15
     assert abs(k.tail_expectation(1.0) - 1.0) < 1e-15
     assert abs(k.tail_expectation(0.25) - 1.5 * 0.25) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# tail integral of table and discrete kernels against the loop formulas
+
+
+def reference_tail(kernel, eps):
+    """Per-level loops that the vectorised tail integral replaced."""
+    out = []
+    for e in np.atleast_1d(eps):
+        lo = 1.0 - e
+        if isinstance(kernel, TableKernel):
+            idx = np.searchsorted(kernel.ps, lo, side="right")
+            knots = np.concatenate(([lo], kernel.ps[idx:]))
+            vals = np.concatenate(([np.interp(lo, kernel.ps, kernel.qs)], kernel.qs[idx:]))
+            out.append(float(np.sum(0.5 * (vals[1:] + vals[:-1]) * np.diff(knots))))
+        else:
+            acc = 0.0
+            prev = 0.0
+            for v, c in zip(kernel.values, kernel.edges[1:]):
+                seg_lo = max(prev, lo)
+                if c > seg_lo:
+                    acc += v * (c - seg_lo)
+                prev = c
+            out.append(acc)
+    return np.asarray(out)
+
+
+def cell_sum_mean(kernel):
+    if isinstance(kernel, TableKernel):
+        cells = 0.5 * (kernel.qs[1:] + kernel.qs[:-1]) * np.diff(kernel.ps)
+    else:
+        cells = kernel.values * np.diff(kernel.edges)
+    return math.fsum(cells)
+
+
+@st.composite
+def table_kernels(draw):
+    inner = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=12, unique=True))
+    ps = np.unique(np.concatenate(([0.0, 1.0], inner)))
+    # zero steps make flat stretches (atoms): non-strict tables are covered
+    steps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+                          min_size=ps.size - 1, max_size=ps.size - 1))
+    base = draw(st.floats(1e-2, 10.0))
+    return TableKernel(ps, base + np.concatenate(([0.0], np.cumsum(steps))))
+
+
+@st.composite
+def discrete_kernels(draw):
+    n = draw(st.integers(1, 12))
+    values = draw(st.lists(st.floats(1e-2, 100.0), min_size=n, max_size=n))
+    weights = np.asarray(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return DiscreteKernel(values, weights / weights.sum())
+
+
+def knot_levels(kernel):
+    """Tail levels that sit exactly on the kernel's cell edges."""
+    return 1.0 - (kernel.ps if isinstance(kernel, TableKernel) else kernel.edges)
+
+
+ATOM_NARROW = TableKernel([0.0, 0.5, 0.501, 1.0], [0.5, 1.0, 1.0, 2.0])
+# 0.7 + 0.3 rounds onto 1.0, so the last state's cell has zero width; in the
+# second, the cumulative sum passes 1 within the probability tolerance
+ZERO_WIDTH = DiscreteKernel([0.5, 1.5, 3.0], [0.7, 0.3, 1e-13])
+OVER_ONE = DiscreteKernel([0.5, 1.5, 3.0], [0.7, 0.3 + 5e-13, 1e-13])
+kernels = st.one_of(table_kernels(), discrete_kernels())
+levels = st.lists(st.floats(0.0, 1.0), max_size=20)
+TAIL_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@TAIL_SETTINGS
+@given(kernel=kernels, eps=levels)
+@example(kernel=ATOM_NARROW, eps=[0.499, 0.5, 0.4995, 1e-15])
+@example(kernel=ZERO_WIDTH, eps=[1e-15, 1e-14, 1e-13, 0.3])
+def test_tail_matches_reference(kernel, eps):
+    eps = np.concatenate((eps, knot_levels(kernel), [0.0, 1.0, 1e-15]))
+    got = kernel.tail_expectation(eps)
+    ref = reference_tail(kernel, eps)
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref)), (got, ref)
+
+
+@TAIL_SETTINGS
+@given(kernel=kernels)
+@example(kernel=ZERO_WIDTH)
+@example(kernel=OVER_ONE)
+def test_tail_ends(kernel):
+    assert kernel.tail_expectation(0.0) == 0.0
+    assert kernel.tail_expectation(1.0) == kernel.mean
+    assert abs(kernel.mean - cell_sum_mean(kernel)) <= 1e-13 * kernel.mean
+
+
+@TAIL_SETTINGS
+@given(kernel=kernels, eps=levels)
+@example(kernel=ATOM_NARROW, eps=[0.499, 0.4995, 0.5])
+@example(kernel=OVER_ONE, eps=[1e-14, 5e-13])
+def test_tail_monotone_and_partition_masses(kernel, eps):
+    # any partition of [0, 1] in tail space: its cell masses are
+    # non-negative and sum to the mean
+    edges = np.unique(np.concatenate(([0.0, 1.0], eps, knot_levels(kernel))))
+    tails = kernel.tail_expectation(edges)
+    masses = np.diff(tails)
+    assert np.all(masses >= 0.0)
+    assert abs(math.fsum(masses) - kernel.mean) <= 1e-13 * kernel.mean
+
+
+@TAIL_SETTINGS
+@given(kernel=kernels, eps=st.floats(0.0, 1.0))
+def test_tail_scalar_and_array(kernel, eps):
+    scalar = kernel.tail_expectation(eps)
+    assert type(scalar) is float
+    arr = kernel.tail_expectation(np.array([eps, eps]))
+    assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+    assert arr[0] == scalar
+
+
+@pytest.mark.parametrize("kernel", [ZERO_WIDTH, OVER_ONE])
+def test_zero_width_cells_clean(kernel):
+    eps = np.array([0.0, 1e-15, 1e-14, 1e-13, 5e-13, 1e-12, 0.3, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tails = kernel.tail_expectation(eps)
+        masses = np.diff(tails)
+    assert np.all(np.isfinite(tails))
+    assert tails[0] == 0.0
+    assert np.all(masses >= 0.0)
+    assert abs(tails[-1] - 0.8) < 1e-12
