@@ -54,7 +54,6 @@ from .attainability import (
     check_elasticity_growth,
     check_growth_condition,
     distorted_tail_bound,
-    g_eval,
     g_function,
     growth_ratio_probe,
     liminf_condition,

@@ -78,13 +78,21 @@ def liminf_condition(w_minus, u_minus, levels=12):
     its log-log slope over the last six probes exceeds SLOPE_TOL (power-like
     decay) or it falls monotonically by more than DECLINE_TOL in log terms
     across the grid (slower-than-power decay, e.g. logarithmic).  A flat or
-    growing product bounded away from zero gives 'yes'; anything else is
-    inconclusive.  Verdicts are probe evidence, never proofs.
+    growing product bounded away from zero gives 'yes'; anything else,
+    including a product that cannot be evaluated at the probes (a table
+    utility refuses arguments beyond its range), is inconclusive.  Verdicts
+    are probe evidence, never proofs.
     """
     xs = 10.0 ** -np.arange(1, levels + 1, dtype=float)
-    log_prod = np.asarray(w_minus.log_eval(xs), dtype=float) + np.asarray(
-        u_minus.log_eval(1.0 / xs), dtype=float
-    )
+    try:
+        log_prod = np.asarray(w_minus.log_eval(xs), dtype=float) + np.asarray(
+            u_minus.log_eval(1.0 / xs), dtype=float
+        )
+    except DomainError as exc:
+        return ConditionVerdict(
+            name="loss_liminf", holds="inconclusive",
+            detail=f"product not evaluable at the probes: {exc}",
+        )
     with np.errstate(over="ignore"):
         products = np.exp(log_prod)
     evidence = [[float(x), float(p)] for x, p in zip(xs, products)]
@@ -300,6 +308,11 @@ def check_delta_threshold(u_minus, delta):
     # probe the associated product u(1/x)^(1-delta) like the liminf check
     w_delta = AssociatedDistortion(u_minus, delta)
     probe = liminf_condition(w_delta, u_minus)
+    if not probe.evidence:  # not evaluable at the probes: no verdict can cite them
+        return ConditionVerdict(
+            name="delta_threshold", holds="inconclusive",
+            parameters_found={"delta": delta}, detail=probe.detail,
+        )
     if delta > 1.0:
         return ConditionVerdict(
             name="delta_threshold", holds="no", evidence=probe.evidence,
@@ -472,10 +485,6 @@ def g_function(u_minus, delta, zeta):
     if abs(u_minus(1.0) - 1.0) > 1e-9:
         raise ParameterError("utility must be normalized to u(1) = 1")
     return ThresholdFunction(utility=u_minus, delta=delta, zeta=zeta)
-
-
-def g_eval(threshold_fn, lam):
-    return threshold_fn.eval(lam)
 
 
 def distorted_tail_bound(law, u_minus, w_minus, f, t):

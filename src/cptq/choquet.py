@@ -203,18 +203,14 @@ def _choquet_discrete(law, utility, distortion):
     mask = law.values > 0.0
     if not np.any(mask):
         return 0.0
-    vals = law.values[mask]
-    probs = law.probs[mask]
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    probs = probs[order]
-    distinct = np.empty(vals.size, dtype=bool)
-    distinct[:-1] = vals[:-1] != vals[1:]
-    distinct[-1] = True
-    # tail probability at (and above) each distinct level
-    tails_all = np.cumsum(probs[::-1])[::-1]
-    levels = vals[distinct]
-    tails = tails_all[np.flatnonzero(np.append(True, distinct[:-1]))]
+    order = np.argsort(-law.values[mask], kind="stable")
+    vals = law.values[mask][order]
+    # tail probability at (and above) each distinct level, summed from the top
+    # in the oracle's order: a distortion steep at 1 (Prelec) turns one ulp of
+    # a tail near 1 into ~1e-8 of value, so tied atoms must not be reordered
+    last = np.append(vals[1:] != vals[:-1], True)  # last atom of each tie group
+    levels = vals[last][::-1]
+    tails = np.cumsum(law.probs[mask][order])[last][::-1]
     u_levels = np.asarray(utility(levels), dtype=float)
     du = np.diff(np.concatenate(([0.0], u_levels)))
     w_tails = np.minimum(np.asarray(distortion(np.minimum(tails, 1.0)), dtype=float), 1.0)

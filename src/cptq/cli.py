@@ -18,9 +18,10 @@ Configuration is a flat key = value text file with dotted keys, e.g.::
     x0 = 1.0
 
 Any key can be overridden from the environment as CPTQ_<KEY> with dots
-replaced by double underscores (CPTQ_KERNEL__SIGMA=0.3).  Every output file
-starts with a comment block echoing the resolved configuration, so runs are
-reproducible byte for byte.
+replaced by double underscores (CPTQ_KERNEL__SIGMA=0.3).  A key that no
+command reads, in the file or the environment, is a configuration error.
+Every output file starts with a comment block echoing the resolved
+configuration, so runs are reproducible byte for byte.
 
 Exit codes: 0 success (a "not attainable" finding is a successful run),
 2 configuration error, 3 computation error.
@@ -100,6 +101,32 @@ def load_config(path, environ=None):
     return apply_env_overrides(cfg, environ)
 
 
+def _config_keys():
+    """Every key a command reads; one set for all commands."""
+    keys = {
+        "kernel.model", "kernel.sigma", "kernel.path", "law.path", "x0",
+        "check.delta", "check.moment_orders", "demo.n_max", "demo.gap_tol",
+        "optimize.n", "optimize.n_starts", "optimize.max_iter", "optimize.q_min",
+        "optimize.q_max", "optimize.eta", "optimize.delta",
+    }
+    for group, kinds, extra in (("utility", functions.UTILITY_KINDS, ()),
+                                ("distortion", functions.DISTORTION_KINDS, ("delta",))):
+        names = {"kind", "path", *extra}.union(*(cls.params for cls in kinds.values()))
+        keys.update(f"{group}.{side}.{name}" for side in ("plus", "minus") for name in names)
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
+
+
+def check_keys(cfg):
+    """Refuse a key no command reads: a typo in the file or in a CPTQ_* variable."""
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key {', '.join(unknown)} "
+                          f"(in the file or a {ENV_PREFIX}* variable)")
+
+
 def _require(cfg, key):
     if key not in cfg:
         raise ConfigError(f"missing config key '{key}'")
@@ -127,36 +154,14 @@ def build_kernel(cfg):
 def build_utility(cfg, side):
     prefix = f"utility.{side}"
     kind = _require(cfg, f"{prefix}.kind")
-    if kind == "power":
-        return functions.PowerUtility(float(_require(cfg, f"{prefix}.alpha")))
-    if kind == "exponential":
-        return functions.ExponentialUtility(float(_require(cfg, f"{prefix}.alpha")))
-    if kind == "logarithmic":
-        return functions.LogUtility()
-    if kind == "loglog":
-        return functions.LogLogUtility()
-    if kind == "log_power":
-        return functions.LogPowerUtility(
-            float(_require(cfg, f"{prefix}.alpha")),
-            float(_require(cfg, f"{prefix}.shape")),
-        )
     if kind == "custom":
         return _load_path(cfg, f"{prefix}.path", functions.TableUtility.from_csv)
-    raise ConfigError(f"unknown {prefix}.kind '{kind}'")
+    return _from_registry(cfg, prefix, kind, functions.UTILITY_KINDS)
 
 
 def build_distortion(cfg, side, u_minus=None):
     prefix = f"distortion.{side}"
     kind = _require(cfg, f"{prefix}.kind")
-    if kind == "identity":
-        return functions.IdentityDistortion()
-    if kind == "power":
-        return functions.PowerDistortion(float(_require(cfg, f"{prefix}.beta")))
-    if kind == "prelec":
-        return functions.PrelecDistortion(
-            float(_require(cfg, f"{prefix}.beta")),
-            float(_require(cfg, f"{prefix}.shape")),
-        )
     if kind == "associated":
         if u_minus is None:
             raise ConfigError("associated distortion needs utility.minus")
@@ -165,7 +170,15 @@ def build_distortion(cfg, side, u_minus=None):
         )
     if kind == "custom":
         return _load_path(cfg, f"{prefix}.path", functions.TableDistortion.from_csv)
-    raise ConfigError(f"unknown {prefix}.kind '{kind}'")
+    return _from_registry(cfg, prefix, kind, functions.DISTORTION_KINDS)
+
+
+def _from_registry(cfg, prefix, kind, kinds):
+    """The registered class of ``kind``, built from its ``params`` keys."""
+    if kind not in kinds:
+        raise ConfigError(f"unknown {prefix}.kind '{kind}'")
+    cls = kinds[kind]
+    return cls(*(float(_require(cfg, f"{prefix}.{name}")) for name in cls.params))
 
 
 def build_preferences(cfg):
@@ -247,7 +260,7 @@ def cmd_check(cfg, out_dir, seed):
                 "AE_transform": attn.asymptotic_elasticity(z),
                 "AE_utility": attn.asymptotic_elasticity(u_minus),
             }
-        except Exception as exc:  # bounded tails etc.
+        except DomainError as exc:  # tails the estimate cannot reach
             report["elasticity"] = {"error": str(exc)}
     path = os.path.join(out_dir, "check_report.json")
     _write_json(path, report)
@@ -311,9 +324,9 @@ def cmd_optimize(cfg, out_dir, seed):
         for line in header:
             fh.write(f"# {line}\n")
         fh.write("accepted_step,value,neg_moment\n")
-        offset = len(diag.neg_moment_trace) - len(diag.value_trace)
-        for i, v in enumerate(diag.value_trace):
-            fh.write(f"{i},{repr(float(v))},{repr(float(diag.neg_moment_trace[offset + i]))}\n")
+        moments = diag.neg_moment_trace[diag.value_trace_start:]
+        for i, (v, m) in enumerate(zip(diag.value_trace, moments)):
+            fh.write(f"{i},{repr(float(v))},{repr(float(m))}\n")
     print(f"value = {portfolio.cpt.total!r}, cost = {portfolio.cost!r}, "
           f"converged = {diag.converged}")
     if diag.existence is not None:
@@ -365,6 +378,7 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
+        check_keys(cfg)
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:

@@ -5,6 +5,12 @@ explicit (possibly infinite) upper limit ``saturation``.  Distortions are
 strictly increasing maps of [0, 1] onto itself.  All objects are immutable
 after construction and vectorized over numpy arrays.
 
+Each function has one formula, ``_raw``, which evaluates an already
+validated array; ``__call__`` validates the domain and then calls it.  Each
+parametric class declares its constructor arguments once, in ``params``;
+``UTILITY_KINDS`` and ``DISTORTION_KINDS`` map every parametric ``kind`` to
+its class, and the CLI builds preferences from them.
+
 Every utility also exposes two log-scale evaluators that the asymptotic
 checkers rely on:
 
@@ -57,10 +63,11 @@ class UtilityFunction:
     """Base class: strictly increasing on [0, inf) with u(0) = 0."""
 
     kind = "abstract"
+    params = ()
     saturation = math.inf
 
     def __call__(self, x):
-        raise NotImplementedError
+        return _eval(self._raw, x)
 
     def inverse(self, y):
         raise NotImplementedError
@@ -78,7 +85,7 @@ class UtilityFunction:
         return _eval(f, t, what="transform argument")
 
     def _raw(self, arr):
-        """Array evaluation without domain checks (arr already validated)."""
+        """The utility's one formula, on an array ``_eval`` has validated."""
         raise NotImplementedError
 
     def _check_inverse_domain(self, y):
@@ -95,7 +102,7 @@ class UtilityFunction:
         return f"{type(self).__name__}({self._params()})"
 
     def _params(self):
-        return ""
+        return ", ".join(f"{name}={getattr(self, name)}" for name in self.params)
 
 
 class PowerUtility(UtilityFunction):
@@ -105,17 +112,13 @@ class PowerUtility(UtilityFunction):
     """
 
     kind = "power"
+    params = ("alpha",)
 
     def __init__(self, alpha):
         if alpha == 0:
             raise DomainError("power utility needs a nonzero exponent")
         self.alpha = float(alpha)
         self.saturation = math.inf if alpha > 0 else 1.0
-
-    def __call__(self, x):
-        if self.alpha > 0:
-            return _eval(lambda a: a ** self.alpha, x)
-        return _eval(lambda a: -np.expm1(self.alpha * np.log1p(a)), x)
 
     def inverse(self, y):
         arr = self._check_inverse_domain(y)
@@ -145,14 +148,12 @@ class PowerUtility(UtilityFunction):
             return arr ** self.alpha
         return -np.expm1(self.alpha * np.log1p(arr))
 
-    def _params(self):
-        return f"alpha={self.alpha}"
-
 
 class ExponentialUtility(UtilityFunction):
     """u(x) = 1 - e^(-alpha x), bounded above by 1."""
 
     kind = "exponential"
+    params = ("alpha",)
     saturation = 1.0
 
     def __init__(self, alpha):
@@ -160,16 +161,10 @@ class ExponentialUtility(UtilityFunction):
             raise DomainError("exponential utility needs alpha > 0")
         self.alpha = float(alpha)
 
-    def __call__(self, x):
-        return _eval(lambda a: -np.expm1(-self.alpha * a), x)
-
     def inverse(self, y):
         arr = self._check_inverse_domain(y)
         out = -np.log1p(-arr) / self.alpha
         return float(out) if arr.ndim == 0 else out
-
-    def log_eval(self, x):
-        return _eval(lambda a: np.log(-np.expm1(-self.alpha * a)), x)
 
     def log_at_exp(self, t):
         def f(a):
@@ -186,25 +181,16 @@ class ExponentialUtility(UtilityFunction):
     def _raw(self, arr):
         return -np.expm1(-self.alpha * arr)
 
-    def _params(self):
-        return f"alpha={self.alpha}"
-
 
 class LogUtility(UtilityFunction):
     """u(x) = log(1 + x)."""
 
     kind = "logarithmic"
 
-    def __call__(self, x):
-        return _eval(np.log1p, x)
-
     def inverse(self, y):
         arr = self._check_inverse_domain(y)
         out = np.expm1(arr)
         return float(out) if arr.ndim == 0 else out
-
-    def log_eval(self, x):
-        return _eval(lambda a: np.log(np.log1p(a)), x)
 
     def log_at_exp(self, t):
         return _eval(lambda a: np.log(_log1p_exp(a)), t)
@@ -218,16 +204,10 @@ class LogLogUtility(UtilityFunction):
 
     kind = "loglog"
 
-    def __call__(self, x):
-        return _eval(lambda a: np.log1p(np.log1p(a)), x)
-
     def inverse(self, y):
         arr = self._check_inverse_domain(y)
         out = np.expm1(np.expm1(arr))
         return float(out) if arr.ndim == 0 else out
-
-    def log_eval(self, x):
-        return _eval(lambda a: np.log(np.log1p(np.log1p(a))), x)
 
     def log_at_exp(self, t):
         return _eval(lambda a: np.log(np.log1p(_log1p_exp(a))), t)
@@ -246,6 +226,7 @@ class LogPowerUtility(UtilityFunction):
     """
 
     kind = "log_power"
+    params = ("alpha", "shape")
 
     def __init__(self, alpha, shape):
         if alpha <= 0:
@@ -254,13 +235,6 @@ class LogPowerUtility(UtilityFunction):
             raise DomainError("log-power utility needs shape in (0, 1)")
         self.alpha = float(alpha)
         self.shape = float(shape)
-
-    def __call__(self, x):
-        def f(a):
-            with np.errstate(divide="ignore"):
-                lx = np.log(a)
-            return np.exp(self.alpha * np.sign(lx) * np.abs(lx) ** self.shape)
-        return _eval(f, x)
 
     def inverse(self, y):
         arr = self._check_inverse_domain(y)
@@ -287,9 +261,6 @@ class LogPowerUtility(UtilityFunction):
         with np.errstate(divide="ignore"):
             lx = np.log(arr)
         return np.exp(self.alpha * np.sign(lx) * np.abs(lx) ** self.shape)
-
-    def _params(self):
-        return f"alpha={self.alpha}, shape={self.shape}"
 
 
 class TableUtility(UtilityFunction):
@@ -322,13 +293,6 @@ class TableUtility(UtilityFunction):
         xs, values, saturation = read_table_csv(path, "x", header_required=True)
         return cls(xs, values, saturation=saturation)
 
-    def __call__(self, x):
-        def f(a):
-            if np.any(a > self.xs[-1]):
-                raise DomainError("argument beyond the tabulated range")
-            return np.interp(a, self.xs, self.values)
-        return _eval(f, x)
-
     def inverse(self, y):
         arr = self._check_inverse_domain(y)
         if np.any(arr > self.values[-1]):
@@ -345,6 +309,11 @@ class TableUtility(UtilityFunction):
         return _eval(f, t)
 
     def _raw(self, arr):
+        """Interpolated values; the range check lives here, so every
+        evaluator (``__call__``, ``log_eval``, a scaled view) refuses
+        arguments beyond the table instead of clamping them."""
+        if np.any(arr > self.xs[-1]):
+            raise DomainError("argument beyond the tabulated range")
         return np.interp(arr, self.xs, self.values)
 
     def _params(self):
@@ -390,31 +359,27 @@ class DistortionFunction:
     """Base class: strictly increasing [0,1] -> [0,1], w(0)=0, w(1)=1."""
 
     kind = "abstract"
+    params = ()
 
     def __call__(self, p):
-        raise NotImplementedError
+        return _eval(self._raw, p, hi=1.0, what="probability")
 
     def log_eval(self, p):
         """log(w(p)); -inf at p = 0."""
         return _eval(lambda a: np.log(self._raw(a)), p, hi=1.0, what="probability")
 
     def _raw(self, arr):
+        """The distortion's one formula, on an array ``_eval`` has validated."""
         raise NotImplementedError
 
-    def __repr__(self):
-        return f"{type(self).__name__}({self._params()})"
-
-    def _params(self):
-        return ""
+    __repr__ = UtilityFunction.__repr__
+    _params = UtilityFunction._params
 
 
 class IdentityDistortion(DistortionFunction):
     """w(p) = p: no probability weighting."""
 
     kind = "identity"
-
-    def __call__(self, p):
-        return _eval(lambda a: a, p, hi=1.0, what="probability")
 
     def _raw(self, arr):
         return arr
@@ -424,14 +389,12 @@ class PowerDistortion(DistortionFunction):
     """w(p) = p^beta."""
 
     kind = "power"
+    params = ("beta",)
 
     def __init__(self, beta):
         if beta <= 0:
             raise DomainError("power distortion needs beta > 0")
         self.beta = float(beta)
-
-    def __call__(self, p):
-        return _eval(lambda a: a ** self.beta, p, hi=1.0, what="probability")
 
     def log_eval(self, p):
         return _eval(lambda a: self.beta * np.log(a), p, hi=1.0, what="probability")
@@ -439,14 +402,12 @@ class PowerDistortion(DistortionFunction):
     def _raw(self, arr):
         return arr ** self.beta
 
-    def _params(self):
-        return f"beta={self.beta}"
-
 
 class PrelecDistortion(DistortionFunction):
     """w(p) = exp(-beta * (-log p)^shape) on (0, 1], w(0) = 0."""
 
     kind = "prelec"
+    params = ("beta", "shape")
 
     def __init__(self, beta, shape):
         if beta <= 0:
@@ -455,9 +416,6 @@ class PrelecDistortion(DistortionFunction):
             raise DomainError("Prelec distortion needs shape in (0, 1)")
         self.beta = float(beta)
         self.shape = float(shape)
-
-    def __call__(self, p):
-        return _eval(self._raw, p, hi=1.0, what="probability")
 
     def log_eval(self, p):
         def f(a):
@@ -468,9 +426,6 @@ class PrelecDistortion(DistortionFunction):
     def _raw(self, arr):
         with np.errstate(divide="ignore"):
             return np.exp(-self.beta * (-np.log(arr)) ** self.shape)
-
-    def _params(self):
-        return f"beta={self.beta}, shape={self.shape}"
 
 
 class AssociatedDistortion(DistortionFunction):
@@ -495,12 +450,6 @@ class AssociatedDistortion(DistortionFunction):
         self.utility = utility
         self.delta = float(delta)
         self._log_u1 = utility.log_eval(1.0)
-
-    def __call__(self, p):
-        def f(a):
-            out = np.exp(self._log_arr(a))
-            return np.where(a == 0.0, 0.0, out)
-        return _eval(f, p, hi=1.0, what="probability")
 
     def log_eval(self, p):
         return _eval(self._log_arr, p, hi=1.0, what="probability")
@@ -541,9 +490,6 @@ class TableDistortion(DistortionFunction):
     def from_csv(cls, path):
         xs, values, _ = read_table_csv(path, "x", header_required=True)
         return cls(xs, values)
-
-    def __call__(self, p):
-        return _eval(self._raw, p, hi=1.0, what="probability")
 
     def _raw(self, arr):
         return np.interp(arr, self.xs, self.values)
@@ -673,15 +619,10 @@ def read_table_csv(path, header, header_required=False):
 
 
 UTILITY_KINDS = {
-    "power": PowerUtility,
-    "exponential": ExponentialUtility,
-    "logarithmic": LogUtility,
-    "loglog": LogLogUtility,
-    "log_power": LogPowerUtility,
+    cls.kind: cls
+    for cls in (PowerUtility, ExponentialUtility, LogUtility, LogLogUtility, LogPowerUtility)
 }
 
 DISTORTION_KINDS = {
-    "identity": IdentityDistortion,
-    "power": PowerDistortion,
-    "prelec": PrelecDistortion,
+    cls.kind: cls for cls in (IdentityDistortion, PowerDistortion, PrelecDistortion)
 }

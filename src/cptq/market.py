@@ -369,14 +369,6 @@ def check_assumptions(kernel, moment_orders=(1, 2, 4, 8, 16), tail_levels=14):
 # cost functional
 
 
-def _as_quantile_fn(law):
-    if isinstance(law, QuantileLaw):
-        return law.quantile_fn
-    if callable(law):
-        return law
-    return None
-
-
 def budget(kernel, law, rtol=1e-8):
     """Cost of the payoff with law ``law`` arranged anti-comonotonically
     with the kernel: integral_0^1 q_rho(x) q_nu(1 - x) dx.
@@ -385,12 +377,18 @@ def budget(kernel, law, rtol=1e-8):
     expectations; quantile laws by adaptive quadrature.  A divergent
     negative part means the arrangement is inadmissible and raises.
     """
+    return _cost(kernel, law, True, rtol)
+
+
+def _cost(kernel, law, anti, rtol):
+    """Anti-comonotone (``anti``) or comonotone cost of a law, a quantile
+    law or a bare quantile function."""
     if isinstance(law, DiscreteLaw):
-        return _budget_steps(kernel, law, anti=True)
-    q_fn = _as_quantile_fn(law)
-    if q_fn is None:
+        return _budget_steps(kernel, law, anti)
+    q_fn = law.quantile_fn if isinstance(law, QuantileLaw) else law
+    if not callable(q_fn):
         raise DomainError(f"cannot price object of type {type(law).__name__}")
-    return _budget_smooth(kernel, q_fn, anti=True, rtol=rtol)
+    return _budget_smooth(kernel, q_fn, anti, rtol)
 
 
 def _budget_steps(kernel, law, anti):
@@ -434,15 +432,4 @@ def hardy_littlewood_check(kernel, law, rtol=1e-8):
     Returns (lower, upper): anti-comonotone and comonotone arrangements.
     Any joint arrangement with these marginals costs within the bracket.
     """
-    if isinstance(law, DiscreteLaw):
-        return (
-            _budget_steps(kernel, law, anti=True),
-            _budget_steps(kernel, law, anti=False),
-        )
-    q_fn = _as_quantile_fn(law)
-    if q_fn is None:
-        raise DomainError(f"cannot price object of type {type(law).__name__}")
-    return (
-        _budget_smooth(kernel, q_fn, anti=True, rtol=rtol),
-        _budget_smooth(kernel, q_fn, anti=False, rtol=rtol),
-    )
+    return _cost(kernel, law, True, rtol), _cost(kernel, law, False, rtol)

@@ -37,8 +37,6 @@ class SolveOptions:
     n_starts: int = 16
     max_iter: int = 10_000
     seed: int = 0
-    conv_tol: float = 1e-8
-    conv_window: int = 50
     step_init: float = 0.25
     q_min: float = -math.inf
     q_max: float = math.inf
@@ -53,12 +51,15 @@ class SolveDiagnostics:
 
     ``value_trace`` follows the winning restart (non-decreasing by
     construction); ``neg_moment_trace`` collects E[(X^-)^eta] over the
-    accepted iterates of every restart, in acceptance order.
+    accepted iterates of every restart, in acceptance order, and the winning
+    restart's entries start at ``value_trace_start``, so
+    ``neg_moment_trace[value_trace_start + i]`` belongs to ``value_trace[i]``.
     """
 
     iterates: int = 0
     value_trace: list = field(default_factory=list)
     neg_moment_trace: list = field(default_factory=list)
+    value_trace_start: int = 0
     restarts: int = 0
     converged: bool = False
     eta_moment: float = 1.2
@@ -205,7 +206,7 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
 
     state = _State(grid, x0, opts)
     rng = np.random.default_rng(opts.seed)
-    best = None  # (value, q, trace, converged)
+    best = None  # (value, q, trace, converged, trace_start)
     eta = opts.eta_moment
     snap_stride = max(1, (opts.n_starts * opts.max_iter) // (50 * opts.snapshot_cap))
 
@@ -215,6 +216,7 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
         q = _assemble(base, d)
         value = grid.value(q)
         trace = [value]
+        trace_start = len(diag.neg_moment_trace)
         diag.neg_moment_trace.append(float(np.mean(np.maximum(-q, 0.0) ** eta)))
         if len(diag.snapshots) < opts.snapshot_cap:
             diag.snapshots.append((diag.iterates, q.copy()))
@@ -270,10 +272,10 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
             and float(np.mean(np.maximum(-q, 0.0) ** eta))
             < float(np.mean(np.maximum(-best[1], 0.0) ** eta))
         ):
-            best = (value, q, trace, converged)
+            best = (value, q, trace, converged, trace_start)
         diag.restarts += 1
 
-    value, q, trace, converged = best
+    value, q, trace, converged, diag.value_trace_start = best
     diag.value_trace = trace
     diag.converged = converged
     portfolio = QuantilePortfolio(q, kernel, u_plus, u_minus, w_plus, w_minus)

@@ -211,6 +211,30 @@ def test_threshold_function_requires_normalized():
         attn.g_function(F.LogUtility(), 0.5, 1.5)
 
 
+# a table utility known only up to x = 4 but declared unbounded
+TABLE_U = F.TableUtility([0.0, 1.0, 2.0, 4.0], [0.0, 1.0, 1.5, 2.0])
+
+
+def test_liminf_table_beyond_range_inconclusive():
+    verdict = attn.liminf_condition(F.PowerDistortion(1.0), TABLE_U)
+    assert verdict.holds == "inconclusive"
+    assert verdict.evidence == []
+    assert "beyond the tabulated range" in verdict.detail
+    for delta in (0.5, 1.5):  # the threshold check probes the same product
+        assert attn.check_delta_threshold(TABLE_U, delta).holds == "inconclusive"
+
+
+def test_growth_ratio_probe_stays_in_table():
+    verdict = attn.growth_ratio_probe(TABLE_U, 0.5, 1.5)
+    assert len(verdict.evidence) >= 8
+    assert max(x for x, _ in verdict.evidence) ** 1.5 <= 4.0 * (1.0 + 1e-9)
+
+
+def test_threshold_function_table_refuses():
+    with pytest.raises(EvaluationError):
+        attn.ThresholdFunction(TABLE_U, 0.5, 1.5)(1.0)
+
+
 def test_threshold_function_failure_raises():
     # exponential-type growth: the domination inequality never settles
     u, _ = F.normalize_utility(ExpGrowthUtility())

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cptq import functions as F
 from cptq.choquet import (
@@ -190,3 +192,39 @@ def test_law_validation():
         DiscreteLaw([1.0, 2.0], [1.0, -0.0])
     with pytest.raises(DomainError):
         DiscreteLaw([1.0, 2.0], [math.nan, 1.0])  # a "nan" cell in a law CSV
+
+
+# one sample value per declared constructor argument of the registry kinds
+KIND_PARAMS = {"alpha": st.floats(0.2, 3.0), "beta": st.floats(0.2, 3.0),
+               "shape": st.floats(0.2, 0.9)}
+
+
+def _registry_member(kinds):
+    def build(cls):
+        return st.tuples(*(KIND_PARAMS[name] for name in cls.params)).map(
+            lambda args: cls(*args))
+    return st.sampled_from(sorted(kinds.values(), key=lambda c: c.kind)).flatmap(build)
+
+
+@st.composite
+def signed_laws(draw):
+    n = draw(st.integers(1, 30))
+    # one decimal place: many exact ties and zero atoms
+    values = np.round(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)), 1)
+    weights = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    return DiscreteLaw(values, weights / weights.sum())
+
+
+@settings(max_examples=60, deadline=None)
+# tied atoms whose tail sums to 1 in one order and to 1 - 1e-16 in the other
+@example(law=DiscreteLaw([1.0] * 4, [2 / 7, 2 / 7, 2 / 7, 1 / 7]), u_plus=F.LogUtility(),
+         u_minus=F.LogUtility(), w_plus=F.PrelecDistortion(1.0, 0.5), w_minus=IDENT)
+@given(law=signed_laws(),
+       u_plus=_registry_member(F.UTILITY_KINDS), u_minus=_registry_member(F.UTILITY_KINDS),
+       w_plus=_registry_member(F.DISTORTION_KINDS), w_minus=_registry_member(F.DISTORTION_KINDS))
+def test_cpt_value_matches_oracle_for_registry_kinds(law, u_plus, u_minus, w_plus, w_minus):
+    value = cpt_value(law, u_plus, u_minus, w_plus, w_minus)
+    for got, side, u, w in ((value.v_plus, law.positive_part(), u_plus, w_plus),
+                            (value.v_minus, law.negative_part(), u_minus, w_minus)):
+        want = choquet_oracle(side, u, w)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))

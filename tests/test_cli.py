@@ -1,9 +1,11 @@
 import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
-from cptq import cli
+from cptq import cli, functions
 from cptq.errors import ConfigError
 
 DEMO_CFG = """\
@@ -212,3 +214,83 @@ def test_output_headers_echo_config(tmp_path):
     assert any("cptq" in line for line in header)
     assert any("kernel.sigma = 0.2" in line for line in header)
     assert any("seed = 1" in line for line in header)
+
+
+def _table_minus_cfg(tmp_path, delta):
+    table = tmp_path / "u.csv"
+    table.write_text("x,value\n0.0,0.0\n1.0,1.0\n2.0,1.5\n4.0,2.0\n")
+    return _write(tmp_path, "t.cfg", CHECK_CFG.replace(
+        "utility.minus.kind = power\nutility.minus.alpha = 2.0",
+        f"utility.minus.kind = custom\nutility.minus.path = {table}").replace(
+        "check.delta = 0.5", f"check.delta = {delta}"))
+
+
+@pytest.mark.parametrize("delta", [0.5, 1.5])
+def test_check_table_loss_utility_inconclusive(tmp_path, capsys, delta):
+    # the table stops at x = 4: the liminf probes reach 1e12, so no verdict
+    cfg = _table_minus_cfg(tmp_path, delta)
+    assert cli.main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "loss_liminf: inconclusive" in out and "delta_threshold: inconclusive" in out
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert "beyond the tabulated range" in report["elasticity"]["error"]
+
+
+def test_demo_table_loss_utility_refused(tmp_path, capsys):
+    cfg = _table_minus_cfg(tmp_path, 1.5)
+    assert cli.main(["demo-nonattain", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "ConstructionError" in err and "'inconclusive'" in err
+
+
+def test_unknown_key_is_config_error(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "k.cfg", OPT_CFG + "optimize.n_start = 3\n")
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "optimize.n_start" in capsys.readouterr().err
+    cfg = _write(tmp_path, "o.cfg", OPT_CFG)
+    monkeypatch.setenv("CPTQ_OPTIMIZE__N_START", "3")
+    assert cli.main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "optimize.n_start" in capsys.readouterr().err
+
+
+def test_shipped_configs_pass_key_check():
+    configs = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
+    assert len(configs) == 3
+    for path in configs:
+        cli.check_keys(cli.load_config(path, environ={}))
+
+
+SAMPLE_PARAMS = {"alpha": 1.5, "beta": 0.8, "shape": 0.6}
+
+
+@pytest.mark.parametrize("group, kinds, build", [
+    ("utility", functions.UTILITY_KINDS, cli.build_utility),
+    ("distortion", functions.DISTORTION_KINDS, cli.build_distortion),
+])
+def test_registry_kinds_build_from_params(group, kinds, build):
+    grid = np.linspace(0.0, 1.0, 11)
+    for kind, cls in kinds.items():
+        assert cls.kind == kind
+        keys = {f"{group}.minus.{name}": SAMPLE_PARAMS[name] for name in cls.params}
+        cfg = {f"{group}.minus.kind": kind, **keys}
+        assert set(cfg) <= cli.CONFIG_KEYS
+        built = build(cfg, "minus")
+        direct = cls(*(SAMPLE_PARAMS[name] for name in cls.params))
+        assert type(built) is cls and repr(built) == repr(direct)
+        assert np.array_equal(built(grid), direct(grid))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_diagnostics_last_row_is_returned_portfolio(tmp_path, capsys, seed):
+    # above the threshold the winning restart need not be the last one
+    cfg = _write(tmp_path, "o.cfg", OPT_CFG.replace("= 0.5", "= 1.5").replace(
+        "optimize.n = 16\noptimize.n_starts = 3\noptimize.max_iter = 600",
+        "optimize.n = 64\noptimize.n_starts = 4\noptimize.max_iter = 2000"))
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path),
+                     "--seed", str(seed)]) == 0
+    value = float(capsys.readouterr().out.split("value = ", 1)[1].split(",", 1)[0])
+    rows = (tmp_path / "portfolio.csv").read_text().splitlines()
+    q = np.array([float(r.split(",")[1]) for r in rows[rows.index("p,q") + 1:]])
+    last = (tmp_path / "diagnostics.csv").read_text().splitlines()[-1].split(",")
+    assert float(last[1]) == value
+    assert float(last[2]) == float(np.mean(np.maximum(-q, 0.0) ** 1.2))

@@ -200,6 +200,19 @@ def test_table_round_trip(tmp_path):
         u.inverse(13.0)
 
 
+def test_table_refuses_beyond_range_in_every_evaluator():
+    # the range check lives in _raw, so no evaluator clamps past the last row
+    u = F.TableUtility([0.0, 1.0, 2.0, 4.0], [0.0, 1.0, 1.5, 2.0])
+    scaled, _ = F.normalize_utility(F.TableUtility([0.0, 2.0, 4.0], [0.0, 1.0, 2.0]))
+    assert u.log_eval(4.0) == math.log(2.0)
+    assert scaled.log_eval(2.0) == math.log(2.0)
+    for evaluate in (u, u.log_eval, scaled, scaled.log_eval):
+        with pytest.raises(DomainError, match="beyond the tabulated range"):
+            evaluate(10.0)
+    with pytest.raises(DomainError, match="beyond the tabulated range"):
+        u.log_at_exp(math.log(10.0))
+
+
 def test_table_validation():
     with pytest.raises(DomainError):
         F.TableUtility([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])
