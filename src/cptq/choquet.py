@@ -58,13 +58,14 @@ class DiscreteLaw:
         return self._folded(-self.values)
 
     def _folded(self, signed):
+        """Law of max(signed, 0): the atoms at or below 0 merge into one zero
+        atom carrying their summed mass."""
         mask = signed > 0.0
         vals = signed[mask]
         probs = self.probs[mask]
-        rest = 1.0 - float(np.sum(probs))
-        if rest > 0.0 or vals.size == 0:
+        if not np.all(mask):
             vals = np.append(vals, 0.0)
-            probs = np.append(probs, max(rest, PROB_TOL))
+            probs = np.append(probs, float(np.sum(self.probs[~mask])))
         return DiscreteLaw(vals, probs)
 
     def moment(self, order):
@@ -211,6 +212,8 @@ def _choquet_discrete(law, utility, distortion):
     last = np.append(vals[1:] != vals[:-1], True)  # last atom of each tie group
     levels = vals[last][::-1]
     tails = np.cumsum(law.probs[mask][order])[last][::-1]
+    if np.all(mask):
+        tails[0] = 1.0  # the lowest level is sure: no rounding below 1
     u_levels = np.asarray(utility(levels), dtype=float)
     du = np.diff(np.concatenate(([0.0], u_levels)))
     w_tails = np.minimum(np.asarray(distortion(np.minimum(tails, 1.0)), dtype=float), 1.0)
@@ -232,6 +235,7 @@ def choquet_oracle(law, utility, distortion):
     order = np.argsort(-law.values, kind="stable")
     vals = law.values[order]
     cum = np.minimum(np.cumsum(law.probs[order]), 1.0)
+    cum[-1] = 1.0  # the full tail is sure
     w = np.asarray(distortion(cum), dtype=float)
     weights = np.diff(np.concatenate(([0.0], w)))
     return float(np.sum(weights * np.asarray(utility(vals), dtype=float)))

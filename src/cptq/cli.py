@@ -19,7 +19,10 @@ Configuration is a flat key = value text file with dotted keys, e.g.::
 
 Any key can be overridden from the environment as CPTQ_<KEY> with dots
 replaced by double underscores (CPTQ_KERNEL__SIGMA=0.3).  A key that no
-command reads, in the file or the environment, is a configuration error.
+command reads, in the file or the environment, is a configuration error,
+except ``optimize.n_starts`` and ``optimize.max_iter``: the knobs of an
+earlier restarted search, still accepted and ignored so that configs
+written for it load.
 Every output file starts with a comment block echoing the resolved
 configuration, so runs are reproducible byte for byte.
 
@@ -41,7 +44,7 @@ from . import __version__
 from . import attainability as attn
 from . import constructions, functions, market, optimizer
 from .choquet import DiscreteLaw, cpt_value
-from .errors import ConfigError, DomainError
+from .errors import AssociationError, ConfigError, DomainError
 
 ENV_PREFIX = "CPTQ_"
 
@@ -165,9 +168,16 @@ def build_distortion(cfg, side, u_minus=None):
     if kind == "associated":
         if u_minus is None:
             raise ConfigError("associated distortion needs utility.minus")
-        return functions.AssociatedDistortion(
-            u_minus, float(_require(cfg, f"{prefix}.delta"))
-        )
+        if isinstance(u_minus, functions.TableUtility):
+            # u(1/p) is needed for every p in (0, 1], far beyond any table
+            raise ConfigError(f"{prefix}.kind = associated needs a parametric loss "
+                              "utility, not utility.minus.kind = custom")
+        try:
+            return functions.AssociatedDistortion(
+                u_minus, float(_require(cfg, f"{prefix}.delta"))
+            )
+        except AssociationError as exc:
+            raise ConfigError(f"{prefix}.kind = associated: {exc}") from exc
     if kind == "custom":
         return _load_path(cfg, f"{prefix}.path", functions.TableDistortion.from_csv)
     return _from_registry(cfg, prefix, kind, functions.DISTORTION_KINDS)
@@ -304,9 +314,6 @@ def cmd_optimize(cfg, out_dir, seed):
     x0 = float(_require(cfg, "x0"))
     delta = cfg.get("optimize.delta")
     opts = optimizer.SolveOptions(
-        n_starts=int(cfg.get("optimize.n_starts", 16)),
-        max_iter=int(cfg.get("optimize.max_iter", 10_000)),
-        seed=int(seed),
         q_min=float(cfg.get("optimize.q_min", -math.inf)),
         q_max=float(cfg.get("optimize.q_max", math.inf)),
         eta_moment=float(cfg.get("optimize.eta", 1.2)),
@@ -324,11 +331,10 @@ def cmd_optimize(cfg, out_dir, seed):
         for line in header:
             fh.write(f"# {line}\n")
         fh.write("accepted_step,value,neg_moment\n")
-        moments = diag.neg_moment_trace[diag.value_trace_start:]
-        for i, (v, m) in enumerate(zip(diag.value_trace, moments)):
+        for i, (v, m) in enumerate(zip(diag.value_trace, diag.neg_moment_trace)):
             fh.write(f"{i},{repr(float(v))},{repr(float(m))}\n")
     print(f"value = {portfolio.cpt.total!r}, cost = {portfolio.cost!r}, "
-          f"converged = {diag.converged}")
+          f"converged = {diag.converged}, gap = {diag.gap!r}, box_binds = {diag.box_binds}")
     if diag.existence is not None:
         print(f"existence regime: {diag.existence}")
     print(f"wrote {port_path}")
@@ -373,7 +379,7 @@ def main(argv=None):
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
+    parser.add_argument("--seed", type=int, default=0, help="seed echoed in output headers")
     args = parser.parse_args(argv)
 
     try:

@@ -27,8 +27,6 @@ from .choquet import DiscreteLaw, QuantileLaw
 from .errors import DivergenceError, DomainError
 from .functions import read_table_csv
 
-UNIT_MEAN_TOL = 1e-9
-
 
 class PricingKernel:
     """Base class for models of the law of rho.
@@ -70,10 +68,6 @@ class PricingKernel:
     def mean(self):
         """E_P[rho] = total mass of the state-price density."""
         return self.tail_expectation(1.0)
-
-    @property
-    def unit_mean(self):
-        return abs(self.mean - 1.0) <= UNIT_MEAN_TOL
 
     def moment(self, order, rtol=1e-8):
         """(estimate, finite) for E[rho^order]; order may be negative."""

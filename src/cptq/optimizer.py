@@ -3,16 +3,17 @@
 In a complete market the choice of terminal wealth reduces to the choice of
 a non-decreasing quantile profile q on (0, 1), held anti-comonotone with the
 pricing kernel: X = q(1 - U) with U = F_rho(rho).  On an N-cell grid the
-profile is a step function, its CPT value is an exact rank-weighted sum, and
-its cost is a dot product with exact kernel cell masses, so value and cost
-share one grid with no quadrature error.
+value is the separable rank-weighted sum of f_i(q_i) = gain_weights[i]
+u+(q_i+) - loss_weights[i] u-(q_i-) and the cost is sum_i state_prices[i] q_i,
+both exact, with no quadrature error.
 
-The optimizer is projected coordinate ascent on the parameterization
-q = base + cumsum(increments >= 0) (monotone by construction), with
-multiplicative rescaling of the increments as the projection that keeps the
-budget constraint active.  The objective is not concave, so the search is
-restarted from several seeded profiles and only the best local maximum is
-returned.
+The solver is the Lagrangian method of the quantile formulation (He & Zhou,
+"Portfolio choice via quantiles", Math. Finance 2011) on a fixed lattice of
+levels: for a multiplier lam, the forward pass V_0 = g_0, V_i = g_i +
+prefix-max(V_{i-1}) with g_i(l) = f_i(l) - lam state_prices[i] l gives the
+best non-decreasing lattice profile exactly, and lam is doubled until that
+profile fits the budget, then bisected.  The objective is not concave, so the
+best profile within budget may sit below the dual bound by a duality gap.
 """
 
 from __future__ import annotations
@@ -28,43 +29,46 @@ from .errors import InfeasibleError, ParameterError
 from .functions import AssociatedDistortion
 
 FEAS_TOL = 1e-6
+GAP_RTOL = 1e-6
+# lattice: 0 and LATTICE_SIDE geometric levels on each side, spanning
+# LATTICE_SPAN in units of max(|x0|, 1)
+LATTICE_SPAN = (1e-3, 1e4)
+LATTICE_SIDE = 1000
+BISECT_STEPS = 50
 
 
 @dataclass
 class SolveOptions:
-    """Knobs of the coordinate-ascent search."""
+    """The admissible box of quantile levels and the bookkeeping settings."""
 
-    n_starts: int = 16
-    max_iter: int = 10_000
-    seed: int = 0
-    step_init: float = 0.25
     q_min: float = -math.inf
     q_max: float = math.inf
     eta_moment: float = 1.2
     delta: float | None = None  # existence-regime bookkeeping when provided
-    snapshot_cap: int = 200
 
 
 @dataclass
 class SolveDiagnostics:
-    """Search trace: accepted values, loss-moment path, and iterate snapshots.
+    """Sweep trace and the certificate of the returned profile.
 
-    ``value_trace`` follows the winning restart (non-decreasing by
-    construction); ``neg_moment_trace`` collects E[(X^-)^eta] over the
-    accepted iterates of every restart, in acceptance order, and the winning
-    restart's entries start at ``value_trace_start``, so
-    ``neg_moment_trace[value_trace_start + i]`` belongs to ``value_trace[i]``.
+    ``iterates`` counts the sweeps.  Each sweep within budget adds the running
+    best value and its E[(X^-)^eta] to the traces and its profile to
+    ``snapshots``; the traces' last entry is the returned profile.  ``gap`` is
+    ``bound - value`` (see ``solve``), negative when spending the budget slack
+    beat the bound.  ``box_binds``: the profile reaches the lowest or highest
+    lattice level.  ``restarts`` is always 0.
     """
 
     iterates: int = 0
     value_trace: list = field(default_factory=list)
     neg_moment_trace: list = field(default_factory=list)
-    value_trace_start: int = 0
     restarts: int = 0
     converged: bool = False
-    eta_moment: float = 1.2
     existence: dict | None = None
     snapshots: list = field(default_factory=list)
+    bound: float = math.inf
+    gap: float = math.inf
+    box_binds: bool = False
 
 
 class QuantilePortfolio:
@@ -91,7 +95,7 @@ class QuantilePortfolio:
         return DiscreteLaw(self.q, np.full(n, 1.0 / n))
 
     def neg_moment(self, eta):
-        return float(np.mean(np.maximum(-self.q, 0.0) ** eta))
+        return _neg_moment(self.q, eta)
 
     def to_csv(self, path, header_lines=()):
         with open(path, "w", newline="") as fh:
@@ -111,7 +115,6 @@ class _Grid:
     """Precomputed cell weights shared by all evaluations at one size N."""
 
     def __init__(self, kernel, u_plus, u_minus, w_plus, w_minus, n_cells):
-        self.n = n_cells
         self.u_plus = u_plus
         self.u_minus = u_minus
         edges = np.arange(n_cells + 1) / n_cells
@@ -131,11 +134,7 @@ class _Grid:
         return float(np.dot(q, self.state_prices))
 
     def value(self, q):
-        gains = np.maximum(q, 0.0)
-        losses = np.maximum(-q, 0.0)
-        v_plus = float(np.dot(self.gain_weights, self.u_plus(gains)))
-        v_minus = float(np.dot(self.loss_weights, self.u_minus(losses)))
-        return v_plus - v_minus
+        return self.cpt(q).total
 
     def cpt(self, q):
         gains = np.maximum(q, 0.0)
@@ -146,163 +145,135 @@ class _Grid:
         )
 
 
-class _State:
-    """Ascent state: q = base + cumsum(d) with the base level funding the
-    increments, so the budget stays active and every increment move is a
-    pure reallocation."""
-
-    def __init__(self, grid, x0, opts):
-        self.grid = grid
-        self.x0 = x0
-        self.opts = opts
-        # price of raising every cell from j on by one unit
-        self.tail_prices = np.cumsum(grid.state_prices[::-1])[::-1]
-
-    def project(self, d):
-        """Budget-determined base for the increment shape d, box-respecting.
-
-        Returns (base, d) with cost exactly x0 whenever the box allows;
-        increments are rescaled multiplicatively when the floor or ceiling
-        binds, which only releases budget.
-        """
-        opts = self.opts
-        total = self.grid.total_price
-        d = np.maximum(d, 0.0)
-        lever = float(np.dot(d, self.tail_prices))
-        base = (self.x0 - lever) / total
-        if base < opts.q_min:
-            if lever > 0.0:
-                t = max((self.x0 - opts.q_min * total) / lever, 0.0)
-                d = d * t
-            base = opts.q_min
-        if base > opts.q_max:
-            base = opts.q_max
-        spread = float(np.sum(d))
-        if base + spread > opts.q_max:
-            d = d * max((opts.q_max - base) / spread, 0.0)
-        return base, d
-
-
 def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
-    """Search for a value-maximal feasible quantile profile.
+    """Best non-decreasing quantile profile within budget, by Lagrangian sweeps.
 
-    Returns ``(portfolio, diagnostics)``.  When ``opts.delta`` is given the
-    existence-regime conditions (loss distortion dominating the associated
-    threshold family, growth regularity of the loss utility) are evaluated
-    and recorded in the diagnostics; runs outside the regime proceed, since
-    watching the loss moments blow up is exactly how non-existence shows.
+    Returns ``(portfolio, diagnostics)``.  ``diagnostics.bound`` bounds every
+    non-decreasing profile on the level lattice that costs at most ``x0``;
+    profiles off the lattice are not covered by it.  When ``opts.delta`` is
+    given the existence-regime conditions (loss distortion dominating the
+    associated threshold family, growth regularity of the loss utility) are
+    evaluated and recorded in the diagnostics; runs outside the regime
+    proceed, since watching the loss moments blow up is exactly how
+    non-existence shows.
     """
     opts = opts or SolveOptions()
     if opts.q_min > opts.q_max:
         raise ParameterError("empty box: q_min above q_max")
     grid = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, n_cells)
     if opts.q_min * grid.total_price > x0 + FEAS_TOL:
-        raise InfeasibleError(
-            "cheapest admissible profile already exceeds the budget"
-        )
-    diag = SolveDiagnostics(eta_moment=opts.eta_moment)
+        raise InfeasibleError("cheapest admissible profile already exceeds the budget")
+    diag = SolveDiagnostics()
     if opts.delta is not None:
         diag.existence = _existence_record(u_minus, w_minus, opts.delta)
 
-    state = _State(grid, x0, opts)
-    rng = np.random.default_rng(opts.seed)
-    best = None  # (value, q, trace, converged, trace_start)
-    eta = opts.eta_moment
-    snap_stride = max(1, (opts.n_starts * opts.max_iter) // (50 * opts.snapshot_cap))
+    levels = _lattice(x0, opts.q_min, opts.q_max)
+    gains = np.asarray(u_plus(np.maximum(levels, 0.0)), dtype=float)
+    losses = np.asarray(u_minus(np.maximum(-levels, 0.0)), dtype=float)
+    payoff = np.outer(grid.gain_weights, gains) - np.outer(grid.loss_weights, losses)
+    best = (-math.inf, None)
 
-    for start in range(opts.n_starts):
-        d = _initial_increments(start, rng, grid.n, x0, opts)
-        base, d = state.project(d)
-        q = _assemble(base, d)
-        value = grid.value(q)
-        trace = [value]
-        trace_start = len(diag.neg_moment_trace)
-        diag.neg_moment_trace.append(float(np.mean(np.maximum(-q, 0.0) ** eta)))
-        if len(diag.snapshots) < opts.snapshot_cap:
-            diag.snapshots.append((diag.iterates, q.copy()))
-        scale = max(abs(x0), 1.0)
-        mesh = opts.step_init * scale
-        mesh_floor = 1e-9 * scale
-        converged = False
-        it = 0
+    def sweep(lam):
+        nonlocal best
+        g = np.outer(grid.state_prices, -lam * levels)
+        g += payoff  # in place: one cell-by-level array per sweep
+        top, idx = _sweep(g)
+        diag.iterates += 1
+        diag.bound = min(diag.bound, top + lam * x0)
+        q = levels[idx]
+        within = grid.cost(q) <= x0 + FEAS_TOL
+        if within:
+            value = grid.value(q)
+            if value > best[0]:
+                best = (value, q)
+            diag.value_trace.append(best[0])
+            diag.neg_moment_trace.append(_neg_moment(best[1], opts.eta_moment))
+            diag.snapshots.append((diag.iterates, q))
+        return q, within
 
-        def propose(coord, step):
-            nd = d.copy()
-            nd[coord] = max(0.0, nd[coord] + step)
-            nb, nd = state.project(nd)
-            nq = _assemble(nb, nd)
-            return nd, nq, grid.value(nq)
+    # double the multiplier until its profile fits the budget, then bisect;
+    # q_lo is the over-budget profile at the bracket's lower end
+    lam_lo, q_lo = 0.0, None
+    lam = 0.0
+    q, within = sweep(lam)
+    while not within:
+        lam_lo, q_lo = lam, q
+        lam = max(2.0 * lam, 1.0)
+        q, within = sweep(lam)
+    lam_hi, q_hi = lam, q
+    for _ in range(BISECT_STEPS if q_lo is not None else 0):
+        lam = 0.5 * (lam_lo + lam_hi)
+        q, within = sweep(lam)
+        if within:
+            lam_hi, q_hi = lam, q
+        else:
+            lam_lo, q_lo = lam, q
 
-        # mesh-adaptive sweeps: within a visit the step doubles while the
-        # move keeps improving (long monotone walks stay cheap); the mesh
-        # itself halves only after a full sweep finds nothing, so fine
-        # polishing happens on every coordinate at once
-        while it < opts.max_iter and not converged:
-            improved_round = False
-            for coord in rng.permutation(grid.n):
-                if it >= opts.max_iter:
-                    break
-                for direction in (1.0, -1.0):
-                    step = mesh
-                    while it < opts.max_iter:
-                        it += 1
-                        diag.iterates += 1
-                        nd, nq, nv = propose(int(coord), direction * step)
-                        if nv > value:
-                            d, q, value = nd, nq, nv
-                            trace.append(value)
-                            diag.neg_moment_trace.append(
-                                float(np.mean(np.maximum(-q, 0.0) ** eta))
-                            )
-                            if (len(diag.snapshots) < opts.snapshot_cap
-                                    and diag.iterates % snap_stride == 0):
-                                diag.snapshots.append((diag.iterates, q.copy()))
-                            step *= 2.0
-                            improved_round = True
-                        else:
-                            break
-            if not improved_round:
-                mesh *= 0.5
-                if mesh <= mesh_floor:
-                    converged = True
-            else:
-                mesh = min(mesh * 2.0, opts.step_init * scale)
-        if best is None or value > best[0] or (
-            value == best[0]
-            and float(np.mean(np.maximum(-q, 0.0) ** eta))
-            < float(np.mean(np.maximum(-best[1], 0.0) ** eta))
-        ):
-            best = (value, q, trace, converged, trace_start)
-        diag.restarts += 1
-
-    value, q, trace, converged, diag.value_trace_start = best
-    diag.value_trace = trace
-    diag.converged = converged
+    # spend the budget slack: raise the best profile from the top, or mix
+    # the bracketing profiles so that the mix costs exactly x0
+    candidates = [_raise_from_top(best[1], grid.state_prices,
+                                  x0 - grid.cost(best[1]), opts.q_max)]
+    if q_lo is not None:
+        c_lo, c_hi = grid.cost(q_lo), grid.cost(q_hi)
+        t = min((c_lo - x0) / (c_lo - c_hi), 1.0)
+        candidates.append((1.0 - t) * q_lo + t * q_hi)
+    q = max(candidates, key=grid.value)
+    value = grid.value(q)
+    diag.value_trace.append(value)
+    diag.neg_moment_trace.append(_neg_moment(q, opts.eta_moment))
+    diag.gap = diag.bound - value
+    diag.converged = diag.gap <= GAP_RTOL * max(1.0, abs(value))
+    diag.box_binds = bool(q[0] <= levels[0] or q[-1] >= levels[-1])
     portfolio = QuantilePortfolio(q, kernel, u_plus, u_minus, w_plus, w_minus)
     if portfolio.cost > x0 + FEAS_TOL:
         raise InfeasibleError("returned profile violates the budget")  # pragma: no cover
     return portfolio, diag
 
 
-def _assemble(base, d):
-    return base + np.cumsum(np.concatenate(([0.0], d)))[1:] if d.size else np.asarray([base])
+def _lattice(x0, q_min, q_max):
+    """Sorted sweep levels: 0 and the geometric levels of each side, clipped
+    to the box, plus the box's finite ends."""
+    s = max(abs(x0), 1.0)
+    side = np.geomspace(LATTICE_SPAN[0] * s, LATTICE_SPAN[1] * s, LATTICE_SIDE)
+    ends = [v for v in (q_min, q_max) if math.isfinite(v)]
+    return np.unique(np.clip(np.concatenate((-side, [0.0], side, ends)), q_min, q_max))
 
 
-def _initial_increments(start, rng, n, x0, opts):
-    """Seeded monotone starting shapes: flat, ramp, then randomized.
+def _sweep(g):
+    """Best non-decreasing path through ``g[cell, level]``: (its sum, level indices).
 
-    Only the increment shape matters; the projection funds it through the
-    base level.
+    Overwrites row i of ``g`` with V_i, the best sum of a path ending at each
+    level of cell i; the path is traced back through those rows.
     """
-    scale = max(abs(x0), 1.0)
-    span = (opts.q_max - opts.q_min) if (
-        math.isfinite(opts.q_min) and math.isfinite(opts.q_max)
-    ) else 6.0 * scale
-    if start == 0:
-        return np.zeros(n)
-    if start == 1:
-        return np.full(n, span / n)
-    return rng.exponential(1.0, n) * rng.random() * span / n
+    n = g.shape[0]
+    run = np.empty(g.shape[1])
+    for i in range(1, n):
+        np.maximum.accumulate(g[i - 1], out=run)
+        g[i] += run
+    idx = np.empty(n, dtype=np.intp)
+    idx[-1] = np.argmax(g[-1])
+    for i in range(n - 1, 0, -1):
+        idx[i - 1] = np.argmax(g[i - 1, : idx[i] + 1])
+    return float(g[-1, idx[-1]]), idx
+
+
+def _raise_from_top(q, prices, slack, q_max):
+    """``q`` with ``slack`` spent raising cells from the top, each up to the
+    cell above it (the top cell up to ``q_max``)."""
+    q = q.copy()
+    ceiling = q_max
+    for i in range(q.size - 1, -1, -1):
+        if slack <= 0.0:
+            break
+        step = min(ceiling - q[i], slack / prices[i])
+        q[i] += step
+        slack -= step * prices[i]
+        ceiling = q[i]
+    return q
+
+
+def _neg_moment(q, eta):
+    return float(np.mean(np.maximum(-q, 0.0) ** eta))
 
 
 def _existence_record(u_minus, w_minus, delta):

@@ -17,7 +17,7 @@ from cptq.choquet import (
     survival,
 )
 from cptq.errors import DivergenceError, DomainError
-from conftest import random_discrete_law
+from conftest import random_discrete_law, registry_member, signed_laws
 
 IDENT = F.IdentityDistortion()
 ID_U = F.PowerUtility(1.0)
@@ -160,6 +160,20 @@ def test_quantile_negative_part():
     assert abs(choquet_positive(neg, ID_U, IDENT) - 0.045) < 1e-7
 
 
+def test_sure_payoff_keeps_full_mass():
+    # the probabilities sum to 1 - 1 ulp: the positive part gains no zero
+    # atom, and a distortion steep at 1 still sees the lowest level as sure
+    law = DiscreteLaw([1.0, 1.0, 1.0], [0.7, 0.2, 0.1])
+    log, prelec = F.LogUtility(), F.PrelecDistortion(1.0, 0.5)
+    assert law.positive_part().values.tolist() == [1.0, 1.0, 1.0]
+    assert cpt_value(law, log, log, prelec, prelec).v_plus == math.log(2.0)
+    assert abs(choquet_oracle(law.positive_part(), log, prelec) - math.log(2.0)) <= 2e-16
+    # folded atoms merge into one zero atom carrying their summed mass
+    folded = DiscreteLaw([-1.0, 0.0, 2.0], [0.2, 0.3, 0.5]).positive_part()
+    assert folded.values.tolist() == [2.0, 0.0]
+    assert folded.probs.tolist() == [0.5, 0.2 + 0.3]
+
+
 def test_cpt_value_serialization_tokens():
     v = CPTValue(v_plus=0.5, v_minus=math.inf)
     d = v.as_dict()
@@ -194,34 +208,13 @@ def test_law_validation():
         DiscreteLaw([1.0, 2.0], [math.nan, 1.0])  # a "nan" cell in a law CSV
 
 
-# one sample value per declared constructor argument of the registry kinds
-KIND_PARAMS = {"alpha": st.floats(0.2, 3.0), "beta": st.floats(0.2, 3.0),
-               "shape": st.floats(0.2, 0.9)}
-
-
-def _registry_member(kinds):
-    def build(cls):
-        return st.tuples(*(KIND_PARAMS[name] for name in cls.params)).map(
-            lambda args: cls(*args))
-    return st.sampled_from(sorted(kinds.values(), key=lambda c: c.kind)).flatmap(build)
-
-
-@st.composite
-def signed_laws(draw):
-    n = draw(st.integers(1, 30))
-    # one decimal place: many exact ties and zero atoms
-    values = np.round(draw(st.lists(st.floats(-50.0, 50.0), min_size=n, max_size=n)), 1)
-    weights = np.asarray(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
-    return DiscreteLaw(values, weights / weights.sum())
-
-
 @settings(max_examples=60, deadline=None)
 # tied atoms whose tail sums to 1 in one order and to 1 - 1e-16 in the other
 @example(law=DiscreteLaw([1.0] * 4, [2 / 7, 2 / 7, 2 / 7, 1 / 7]), u_plus=F.LogUtility(),
          u_minus=F.LogUtility(), w_plus=F.PrelecDistortion(1.0, 0.5), w_minus=IDENT)
 @given(law=signed_laws(),
-       u_plus=_registry_member(F.UTILITY_KINDS), u_minus=_registry_member(F.UTILITY_KINDS),
-       w_plus=_registry_member(F.DISTORTION_KINDS), w_minus=_registry_member(F.DISTORTION_KINDS))
+       u_plus=registry_member(F.UTILITY_KINDS), u_minus=registry_member(F.UTILITY_KINDS),
+       w_plus=registry_member(F.DISTORTION_KINDS), w_minus=registry_member(F.DISTORTION_KINDS))
 def test_cpt_value_matches_oracle_for_registry_kinds(law, u_plus, u_minus, w_plus, w_minus):
     value = cpt_value(law, u_plus, u_minus, w_plus, w_minus)
     for got, side, u, w in ((value.v_plus, law.positive_part(), u_plus, w_plus),

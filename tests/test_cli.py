@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -37,8 +38,6 @@ distortion.minus.kind = associated
 distortion.minus.delta = 0.5
 x0 = 1.0
 optimize.n = 16
-optimize.n_starts = 3
-optimize.max_iter = 600
 optimize.delta = 0.5
 """
 
@@ -236,6 +235,27 @@ def test_check_table_loss_utility_inconclusive(tmp_path, capsys, delta):
     assert "beyond the tabulated range" in report["elasticity"]["error"]
 
 
+def test_associated_distortion_of_table_loss_utility_refused(tmp_path, capsys):
+    # w(p) needs u(1/p) for every p in (0, 1], beyond any table's last row
+    text = pathlib.Path(_table_minus_cfg(tmp_path, 0.5)).read_text().replace(
+        "distortion.minus.kind = power\ndistortion.minus.beta = 1.0",
+        "distortion.minus.kind = associated\ndistortion.minus.delta = 0.5")
+    cfg = _write(tmp_path, "a.cfg", text + "optimize.n = 16\n")
+    for command in ("check", "optimize"):
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "distortion.minus.kind = associated" in err
+        assert "utility.minus.kind = custom" in err
+
+
+def test_associated_distortion_of_bounded_utility_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "b.cfg", OPT_CFG.replace(
+        "utility.minus.kind = power\nutility.minus.alpha = 2.0",
+        "utility.minus.kind = exponential\nutility.minus.alpha = 1.0"))
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "distortion.minus.kind = associated" in capsys.readouterr().err
+
+
 def test_demo_table_loss_utility_refused(tmp_path, capsys):
     cfg = _table_minus_cfg(tmp_path, 1.5)
     assert cli.main(["demo-nonattain", "--config", cfg, "--out", str(tmp_path)]) == 3
@@ -260,6 +280,32 @@ def test_shipped_configs_pass_key_check():
         cli.check_keys(cli.load_config(path, environ={}))
 
 
+def test_benchmark_configs_pass_key_check(tmp_path):
+    # every config the benchmark writes uses only keys the CLI accepts
+    sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for workload in workloads.WORKLOADS:
+        out = tmp_path / workload
+        instances = workloads.generate(workload, 0, str(out))
+        assert instances
+        for inst in instances:
+            cli.check_keys(cli.load_config(out / inst["config"], environ={}))
+
+
+def test_shipped_optimize_config_converges(tmp_path, capsys):
+    config = pathlib.Path(__file__).parent.parent / "configs" / "optimize.cfg"
+    assert cli.main(["optimize", "--config", str(config), "--out", str(tmp_path)]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    fields = dict(part.split(" = ") for part in line.split(", "))
+    assert fields["converged"] == "True"
+    assert float(fields["gap"]) <= 1e-6
+    assert float(fields["value"]) >= 0.6395
+    assert fields["box_binds"] == "False"
+
+
 SAMPLE_PARAMS = {"alpha": 1.5, "beta": 0.8, "shape": 0.6}
 
 
@@ -282,10 +328,10 @@ def test_registry_kinds_build_from_params(group, kinds, build):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_diagnostics_last_row_is_returned_portfolio(tmp_path, capsys, seed):
-    # above the threshold the winning restart need not be the last one
+    # above the threshold the returned profile comes from spending the budget
+    # slack, after the last sweep
     cfg = _write(tmp_path, "o.cfg", OPT_CFG.replace("= 0.5", "= 1.5").replace(
-        "optimize.n = 16\noptimize.n_starts = 3\noptimize.max_iter = 600",
-        "optimize.n = 64\noptimize.n_starts = 4\noptimize.max_iter = 2000"))
+        "optimize.n = 16", "optimize.n = 64"))
     assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path),
                      "--seed", str(seed)]) == 0
     value = float(capsys.readouterr().out.split("value = ", 1)[1].split(",", 1)[0])

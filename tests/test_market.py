@@ -18,7 +18,7 @@ from cptq.market import (
     check_assumptions,
     hardy_littlewood_check,
 )
-from conftest import random_discrete_law
+from conftest import random_discrete_law, signed_laws
 
 SIGMA = 0.2
 
@@ -98,12 +98,6 @@ def test_moments_lognormal(lognormal):
         assert abs(est_neg - cf_neg) < tol * cf_neg
 
 
-def test_unit_mean(lognormal):
-    est, _ = lognormal.moment(1)
-    assert abs(est - 1.0) < 1e-6
-    assert lognormal.unit_mean
-
-
 def test_check_assumptions_lognormal(lognormal):
     rep = check_assumptions(lognormal, moment_orders=(1, 2, 4, 8))
     assert rep.continuous_cdf == "yes"
@@ -180,6 +174,18 @@ def test_budget_divergent_negative_part(lognormal):
     bad = QuantileLaw(lambda p: -np.exp(3.0 / np.asarray(p, dtype=float)))
     with pytest.raises(DivergenceError):
         budget(lognormal, bad)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=signed_laws(), kernel=st.sampled_from([
+    TableKernel([0.0, 0.5, 1.0], [0.5, 1.0, 2.0]),
+    DiscreteKernel([0.5, 1.0, 1.5], [0.3, 0.4, 0.3]),
+    LognormalKernel(SIGMA),
+]))
+def test_budget_is_lower_end_of_bracket(law, kernel):
+    lo, up = hardy_littlewood_check(kernel, law)
+    assert budget(kernel, law) == lo
+    assert lo <= up + 1e-12 * max(1.0, abs(up))
 
 
 def test_hardy_littlewood_degenerate():

@@ -1,21 +1,29 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptq import attainability as attn
 from cptq import functions as F
-from cptq.choquet import cpt_value
+from cptq.choquet import DiscreteLaw, cpt_value
 from cptq.errors import InfeasibleError, ParameterError
 from cptq.market import DiscreteKernel, LognormalKernel
 from cptq.optimizer import (
     QuantilePortfolio,
+    SolveDiagnostics,
     SolveOptions,
+    _Grid,
+    _lattice,
+    _sweep,
     lattice_oracle,
     solve,
     tightness_report,
     value_and_cost,
 )
+from conftest import registry_member
 
 IDENT = F.IdentityDistortion()
 ID_U = F.PowerUtility(1.0)
@@ -58,6 +66,42 @@ def test_grid_valuation_matches_choquet(lognormal, rng):
     assert abs(port.cpt.v_minus - ref.v_minus) < 1e-12
 
 
+@st.composite
+def preferences(draw):
+    """Registry kinds on every side; either distortion may instead be the
+    associated family of an unbounded loss utility."""
+    u_plus = draw(registry_member(F.UTILITY_KINDS))
+    u_minus = draw(registry_member(F.UTILITY_KINDS))
+    w = []
+    for _ in range(2):
+        if math.isinf(u_minus.saturation) and draw(st.booleans()):
+            w.append(F.AssociatedDistortion(u_minus, draw(st.floats(0.2, 2.0))))
+        else:
+            w.append(draw(registry_member(F.DISTORTION_KINDS)))
+    return u_plus, u_minus, *w
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefs=preferences(), q=st.lists(
+    st.sampled_from([-4.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=40))
+def test_grid_value_matches_cpt_value(lognormal, prefs, q):
+    # the separable sum the sweep maximizes is the CPT value of the step law
+    q = np.sort(q)
+    want = cpt_value(DiscreteLaw(q, np.full(q.size, 1.0 / q.size)), *prefs).total
+    got = _Grid(lognormal, *prefs, q.size).value(q)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_sweep_matches_enumeration(rng):
+    for _ in range(20):
+        g = rng.normal(size=(4, 6))
+        best = max(combinations_with_replacement(range(6), 4),
+                   key=lambda idx: sum(g[i, l] for i, l in enumerate(idx)))
+        top, idx = _sweep(g.copy())
+        assert list(idx) == list(best)
+        assert abs(top - sum(g[i, l] for i, l in enumerate(best))) < 1e-12
+
+
 def test_monotone_profile_required(lognormal):
     with pytest.raises(ParameterError):
         QuantilePortfolio(np.array([1.0, 0.5]), lognormal, U_EXP, ID_U, IDENT, IDENT)
@@ -65,7 +109,7 @@ def test_monotone_profile_required(lognormal):
 
 def test_solve_risk_neutral_matches_oracle():
     kern = DiscreteKernel([0.4, 0.8, 1.2, 1.6], [0.25, 0.25, 0.25, 0.25])
-    opts = SolveOptions(n_starts=8, max_iter=5000, seed=11, q_min=0.0, q_max=4.0)
+    opts = SolveOptions(q_min=0.0, q_max=4.0)
     port, diag = solve(kern, ID_U, ID_U, IDENT, IDENT, 1.0, n_cells=4, opts=opts)
     best, _ = lattice_oracle(kern, ID_U, ID_U, IDENT, IDENT, 1.0,
                              np.linspace(0.0, 4.0, 17), 4)
@@ -75,7 +119,7 @@ def test_solve_risk_neutral_matches_oracle():
 
 def test_solve_pushes_mass_to_cheap_states():
     kern = DiscreteKernel([0.4, 0.8, 1.2, 1.6], [0.25, 0.25, 0.25, 0.25])
-    opts = SolveOptions(n_starts=8, max_iter=5000, seed=3, q_min=0.0, q_max=4.0)
+    opts = SolveOptions(q_min=0.0, q_max=4.0)
     port, _ = solve(kern, ID_U, ID_U, IDENT, IDENT, 1.0, n_cells=4, opts=opts)
     # anti-comonotone arrangement: wealth against the kernel quantile
     rho = kern.quantile(port.grid)
@@ -84,24 +128,22 @@ def test_solve_pushes_mass_to_cheap_states():
 
 
 def test_solve_value_trace_monotone(lognormal):
-    opts = SolveOptions(n_starts=4, max_iter=2000, seed=5)
     port, diag = solve(lognormal, U_EXP, F.PowerUtility(2.0), IDENT,
-                       F.PowerDistortion(1.0), 1.0, n_cells=32, opts=opts)
+                       F.PowerDistortion(1.0), 1.0, n_cells=32)
     vt = diag.value_trace
     assert all(b >= a for a, b in zip(vt, vt[1:]))
     assert port.cpt.total == vt[-1]
 
 
 def test_solve_feasible_and_below_ceiling(lognormal):
-    opts = SolveOptions(n_starts=4, max_iter=2000, seed=5)
     port, diag = solve(lognormal, U_EXP, F.PowerUtility(2.0), IDENT,
-                       F.PowerDistortion(1.0), 1.0, n_cells=32, opts=opts)
+                       F.PowerDistortion(1.0), 1.0, n_cells=32)
     assert port.cost <= 1.0 + 1e-6
     assert port.cpt.total <= U_EXP.saturation
 
 
 def test_solve_infeasible_box(lognormal):
-    opts = SolveOptions(n_starts=2, max_iter=100, seed=0, q_min=5.0, q_max=6.0)
+    opts = SolveOptions(q_min=5.0, q_max=6.0)
     with pytest.raises(InfeasibleError):
         solve(lognormal, U_EXP, ID_U, IDENT, IDENT, 1.0, n_cells=8, opts=opts)
 
@@ -109,12 +151,12 @@ def test_solve_infeasible_box(lognormal):
 def test_solve_records_existence_regime(lognormal):
     u_minus = F.PowerUtility(2.0)
     w_minus = F.associated_distortion(u_minus, 0.5)
-    opts = SolveOptions(n_starts=2, max_iter=500, seed=1, delta=0.5)
+    opts = SolveOptions(delta=0.5)
     _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                     n_cells=16, opts=opts)
     assert diag.existence["in_regime"] is True
     w_bad = F.associated_distortion(u_minus, 1.5)
-    opts = SolveOptions(n_starts=2, max_iter=500, seed=1, delta=1.5)
+    opts = SolveOptions(delta=1.5)
     _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_bad, 1.0,
                     n_cells=16, opts=opts)
     assert diag.existence["in_regime"] is False
@@ -133,18 +175,31 @@ def test_oracle_agreement_ten_instances():
         x0 = float(rng.uniform(0.5, 1.5))
         best, _ = lattice_oracle(kern, u_p, u_m, w_p, w_m, x0,
                                  np.linspace(-1.0, 3.0, 15), 5)
-        opts = SolveOptions(n_starts=12, max_iter=6000, seed=trial,
-                            q_min=-1.0, q_max=3.0)
+        opts = SolveOptions(q_min=-1.0, q_max=3.0)
         port, _ = solve(kern, u_p, u_m, w_p, w_m, x0, n_cells=5, opts=opts)
         assert port.cpt.total >= best - 1e-6, (trial, port.cpt.total, best)
+
+
+def test_bound_covers_lattice_profiles():
+    # the dual bound holds for every monotone profile on the solver's own
+    # lattice within budget, here a subset of it searched exhaustively
+    kern = DiscreteKernel([0.5, 0.9, 1.4, 2.0], [0.3, 0.3, 0.2, 0.2])
+    u_m, w_p, w_m = F.PowerUtility(2.0), F.PrelecDistortion(1.0, 0.65), F.PowerDistortion(1.2)
+    for x0 in (0.6, 1.3):
+        levels = _lattice(x0, -1.0, 3.0)[::75]
+        best, _ = lattice_oracle(kern, U_EXP, u_m, w_p, w_m, x0, levels, 5)
+        port, diag = solve(kern, U_EXP, u_m, w_p, w_m, x0, n_cells=5,
+                           opts=SolveOptions(q_min=-1.0, q_max=3.0))
+        assert diag.bound >= best - 1e-12
+        assert port.cpt.total >= best - 1e-12
+        assert math.isclose(diag.gap, diag.bound - port.cpt.total)
 
 
 def test_tightness_report_in_regime(lognormal):
     u_minus = F.PowerUtility(2.0)
     delta, zeta, eta = 0.5, 1.5, 1.2
     w_minus = F.associated_distortion(u_minus, delta)
-    opts = SolveOptions(n_starts=4, max_iter=2000, seed=9, delta=delta,
-                        eta_moment=eta)
+    opts = SolveOptions(delta=delta, eta_moment=eta)
     _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                     n_cells=64, opts=opts)
     G = attn.g_function(u_minus, delta, zeta)
@@ -154,13 +209,10 @@ def test_tightness_report_in_regime(lognormal):
     assert report["max_neg_moment"] < math.inf
 
 
-def test_tightness_report_flags_nothing_for_constant(lognormal):
+def test_tightness_report_flags_nothing_for_constant():
     u_minus = F.PowerUtility(2.0)
     delta, zeta, eta = 0.5, 1.5, 1.2
-    opts = SolveOptions(n_starts=1, max_iter=1, seed=0, eta_moment=eta)
-    _, diag = solve(lognormal, U_EXP, u_minus, IDENT,
-                    F.associated_distortion(u_minus, delta), 1.0,
-                    n_cells=8, opts=opts)
+    diag = SolveDiagnostics(snapshots=[(0, np.full(8, 1.0))])
     G = attn.g_function(u_minus, delta, zeta)
     report = tightness_report(diag, u_minus, delta, eta, zeta, G)
     assert report["violations"] == 0
@@ -176,17 +228,36 @@ def test_threshold_contrast_across_resolution(lognormal):
         w_minus = F.associated_distortion(u_minus, delta)
         out = []
         for n_cells in (256, 512, 1024):
-            opts = SolveOptions(n_starts=4, max_iter=4000, seed=7,
-                                eta_moment=1.2, delta=delta)
-            _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
+            opts = SolveOptions(eta_moment=1.2, delta=delta)
+            port, _ = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                             n_cells=n_cells, opts=opts)
-            out.append(max(diag.neg_moment_trace))
+            out.append(port.neg_moment(1.2))
         maxima[delta] = out
     lo = maxima[0.5]
     hi = maxima[1.5]
     assert max(lo) <= 3.0 * min(lo)               # bounded across resolutions
     assert hi[0] < hi[1] < hi[2]                  # strictly increasing
     assert min(hi) > 10.0 * max(lo)               # and on another scale entirely
+
+
+def test_box_width_dichotomy(lognormal):
+    # above the threshold the profile sits on the box floor and widening the
+    # box deepens the loss and raises the value; below it the box never binds
+    u_minus = F.PowerUtility(2.0)
+    for delta in (0.5, 1.5):
+        w_minus = F.associated_distortion(u_minus, delta)
+        runs = [solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0, n_cells=256,
+                      opts=SolveOptions(q_min=q_min)) for q_min in (-10.0, -40.0, -160.0)]
+        values = [port.cpt.total for port, _ in runs]
+        floors = [port.q[0] for port, _ in runs]
+        if delta > 1.0:
+            assert all(diag.box_binds for _, diag in runs)
+            assert floors == [-10.0, -40.0, -160.0]
+            assert values[0] < values[1] < values[2]
+        else:
+            assert not any(diag.box_binds for _, diag in runs)
+            assert max(floors) - min(floors) < 1e-12 and floors[0] > -1.0
+            assert max(values) - min(values) < 1e-9
 
 
 def test_portfolio_csv(tmp_path, lognormal):
