@@ -319,6 +319,13 @@ def cmd_optimize(cfg, out_dir, seed):
         eta_moment=float(cfg.get("optimize.eta", 1.2)),
         delta=float(delta) if delta is not None else None,
     )
+    # the sweep's lattice spans the box; a table refuses arguments past its end
+    for u, side, key, reach, need in ((u_minus, "minus", "optimize.q_min", -opts.q_min, ">= -"),
+                                      (u_plus, "plus", "optimize.q_max", opts.q_max, "<= ")):
+        if isinstance(u, functions.TableUtility) and reach > u.xs[-1]:
+            end = float(u.xs[-1])
+            raise ConfigError(f"utility.{side}.kind = custom is tabulated up to "
+                              f"x = {end!r}: set {key} {need}{end!r}")
     n_cells = int(cfg.get("optimize.n", 512))
     portfolio, diag = optimizer.solve(
         kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=n_cells, opts=opts

@@ -77,7 +77,7 @@ def find_level(n, kernel, w_minus, u_minus, a_prev=None):
         )
     if bad is not None:
         for _ in range(80):
-            mid = math.sqrt(good * bad)
+            mid = math.sqrt(good) * math.sqrt(bad)  # the product underflows below 1e-154
             if log_product(mid) < target:
                 good = mid
             else:

@@ -11,15 +11,19 @@ The solver is the Lagrangian method of the quantile formulation (He & Zhou,
 "Portfolio choice via quantiles", Math. Finance 2011) on a fixed lattice of
 levels: for a multiplier lam, the forward pass V_0 = g_0, V_i = g_i +
 prefix-max(V_{i-1}) with g_i(l) = f_i(l) - lam state_prices[i] l gives the
-best non-decreasing lattice profile exactly, and lam is doubled until that
-profile fits the budget, then bisected.  The objective is not concave, so the
-best profile within budget may sit below the dual bound by a duality gap.
+best non-decreasing lattice profile exactly.  lam is doubled until that
+profile fits the budget; the dual (the sweep's best sum + lam x0) is convex
+and piecewise linear, so Kelley's cutting-plane step ("The cutting-plane
+method for solving convex programs", SIAM J. 1960) then finds its minimiser
+exactly.  The objective is not concave, so the best
+profile within budget may sit below the dual bound by a duality gap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +38,8 @@ GAP_RTOL = 1e-6
 # LATTICE_SPAN in units of max(|x0|, 1)
 LATTICE_SPAN = (1e-3, 1e4)
 LATTICE_SIDE = 1000
-BISECT_STEPS = 50
+CUT_RTOL = 1e-12  # a cut rising no higher above the bracket's lines ends the search
+MAX_CUTS = 50  # safety cap
 
 
 @dataclass
@@ -148,14 +153,15 @@ class _Grid:
 def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     """Best non-decreasing quantile profile within budget, by Lagrangian sweeps.
 
-    Returns ``(portfolio, diagnostics)``.  ``diagnostics.bound`` bounds every
-    non-decreasing profile on the level lattice that costs at most ``x0``;
-    profiles off the lattice are not covered by it.  When ``opts.delta`` is
-    given the existence-regime conditions (loss distortion dominating the
-    associated threshold family, growth regularity of the loss utility) are
-    evaluated and recorded in the diagnostics; runs outside the regime
-    proceed, since watching the loss moments blow up is exactly how
-    non-existence shows.
+    Returns ``(portfolio, diagnostics)``.  ``diagnostics.bound`` is the dual
+    minimum over lattice profiles (see ``_multiplier_search``): it bounds
+    every non-decreasing profile on the level lattice that costs at most
+    ``x0``; profiles off the lattice are not covered by it.  When
+    ``opts.delta`` is given the existence-regime conditions (loss distortion
+    dominating the associated threshold family, growth regularity of the
+    loss utility) are evaluated and recorded in the diagnostics; runs
+    outside the regime proceed, since watching the loss moments blow up is
+    exactly how non-existence shows.
     """
     opts = opts or SolveOptions()
     if opts.q_min > opts.q_max:
@@ -181,7 +187,8 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
         diag.iterates += 1
         diag.bound = min(diag.bound, top + lam * x0)
         q = levels[idx]
-        within = grid.cost(q) <= x0 + FEAS_TOL
+        cost = grid.cost(q)
+        within = cost <= x0 + FEAS_TOL
         if within:
             value = grid.value(q)
             if value > best[0]:
@@ -189,34 +196,17 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
             diag.value_trace.append(best[0])
             diag.neg_moment_trace.append(_neg_moment(best[1], opts.eta_moment))
             diag.snapshots.append((diag.iterates, q))
-        return q, within
+        return _Swept(lam, q, cost, top + lam * cost, within)
 
-    # double the multiplier until its profile fits the budget, then bisect;
-    # q_lo is the over-budget profile at the bracket's lower end
-    lam_lo, q_lo = 0.0, None
-    lam = 0.0
-    q, within = sweep(lam)
-    while not within:
-        lam_lo, q_lo = lam, q
-        lam = max(2.0 * lam, 1.0)
-        q, within = sweep(lam)
-    lam_hi, q_hi = lam, q
-    for _ in range(BISECT_STEPS if q_lo is not None else 0):
-        lam = 0.5 * (lam_lo + lam_hi)
-        q, within = sweep(lam)
-        if within:
-            lam_hi, q_hi = lam, q
-        else:
-            lam_lo, q_lo = lam, q
+    lo, hi = _multiplier_search(sweep)
 
     # spend the budget slack: raise the best profile from the top, or mix
     # the bracketing profiles so that the mix costs exactly x0
     candidates = [_raise_from_top(best[1], grid.state_prices,
                                   x0 - grid.cost(best[1]), opts.q_max)]
-    if q_lo is not None:
-        c_lo, c_hi = grid.cost(q_lo), grid.cost(q_hi)
-        t = min((c_lo - x0) / (c_lo - c_hi), 1.0)
-        candidates.append((1.0 - t) * q_lo + t * q_hi)
+    if lo is not None:
+        t = min((lo.cost - x0) / (lo.cost - hi.cost), 1.0)
+        candidates.append((1.0 - t) * lo.q + t * hi.q)
     q = max(candidates, key=grid.value)
     value = grid.value(q)
     diag.value_trace.append(value)
@@ -228,6 +218,42 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     if portfolio.cost > x0 + FEAS_TOL:
         raise InfeasibleError("returned profile violates the budget")  # pragma: no cover
     return portfolio, diag
+
+
+class _Swept(NamedTuple):
+    """A multiplier and its sweep's profile, with that profile's cost and value."""
+
+    lam: float
+    q: np.ndarray
+    cost: float
+    value: float
+    within: bool
+
+
+def _multiplier_search(sweep):
+    """The bracketing sweeps ``(lo, hi)`` at the dual minimiser.
+
+    ``hi`` fits the budget and ``lo`` does not (None when lam = 0 fits).
+    After the doubling, each step sweeps where the Lagrangian lines value -
+    lam cost of ``lo`` and ``hi`` cross: a sweep that does not rise above
+    them shows both maximise the Lagrangian there, the dual minimiser.
+    """
+    lo, hi = None, sweep(0.0)
+    while not hi.within:
+        lo, hi = hi, sweep(max(2.0 * hi.lam, 1.0))
+    for _ in range(MAX_CUTS if lo is not None else 0):
+        lam = (lo.value - hi.value) / (lo.cost - hi.cost)
+        if not lo.lam < lam < hi.lam:  # a floating-point tie at an end
+            break
+        line = hi.value - lam * hi.cost
+        cut = sweep(lam)
+        if cut.value - lam * cut.cost <= line + CUT_RTOL * max(1.0, abs(line)):
+            break
+        if cut.within:
+            hi = cut
+        else:
+            lo = cut
+    return lo, hi
 
 
 def _lattice(x0, q_min, q_max):

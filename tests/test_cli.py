@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -254,6 +255,45 @@ def test_associated_distortion_of_bounded_utility_is_config_error(tmp_path, caps
         "utility.minus.kind = exponential\nutility.minus.alpha = 1.0"))
     assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "distortion.minus.kind = associated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side, key, bound", [("minus", "optimize.q_min", -4.0),
+                                              ("plus", "optimize.q_max", 4.0)])
+def test_optimize_box_beyond_table_refused(tmp_path, capsys, side, key, bound):
+    # the lattice spans the box, and the table stops at x = 4
+    table = tmp_path / "u.csv"
+    table.write_text("x,value\n0.0,0.0\n1.0,1.0\n2.0,1.5\n4.0,2.0\n")
+    text = re.sub(rf"utility\.{side}\.kind = \w+\nutility\.{side}\.alpha = \S+",
+                  f"utility.{side}.kind = custom\nutility.{side}.path = {table}", OPT_CFG)
+    text = text.replace("distortion.minus.kind = associated\ndistortion.minus.delta = 0.5",
+                        "distortion.minus.kind = power\ndistortion.minus.beta = 1.2")
+    text = text.replace("optimize.delta = 0.5\n", "")
+    cfg = _write(tmp_path, "t.cfg", text)
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"utility.{side}.kind = custom" in err and f"{key} " in err and repr(bound) in err
+    cfg = _write(tmp_path, "b.cfg", text + "optimize.q_min = -4\noptimize.q_max = 4\n")
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "converged = " in capsys.readouterr().out
+
+
+def test_demo_level_search_below_sqrt_underflow(tmp_path, capsys):
+    # the level bisection runs below 1e-154, where good * bad underflows to 0;
+    # the search must end with its own error, not a division by zero
+    cfg = _write(tmp_path, "u.cfg", """\
+kernel.model = lognormal
+kernel.sigma = 0.3
+utility.plus.kind = exponential
+utility.plus.alpha = 2.0
+utility.minus.kind = logarithmic
+distortion.plus.kind = identity
+distortion.minus.kind = associated
+distortion.minus.delta = 1.3
+x0 = 1.0
+""")
+    assert cli.main(["demo-nonattain", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "ConstructionError" in err and "ZeroDivisionError" not in err
 
 
 def test_demo_table_loss_utility_refused(tmp_path, capsys):

@@ -3,11 +3,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptq import attainability as attn
 from cptq import functions as F
+from cptq import optimizer
 from cptq.choquet import DiscreteLaw, cpt_value
 from cptq.errors import InfeasibleError, ParameterError
 from cptq.market import DiscreteKernel, LognormalKernel
@@ -17,6 +19,7 @@ from cptq.optimizer import (
     SolveOptions,
     _Grid,
     _lattice,
+    _multiplier_search,
     _sweep,
     lattice_oracle,
     solve,
@@ -28,6 +31,9 @@ from conftest import registry_member
 IDENT = F.IdentityDistortion()
 ID_U = F.PowerUtility(1.0)
 U_EXP = F.ExponentialUtility(1.0)
+U_POW2 = F.PowerUtility(2.0)
+# the preferences of configs/optimize.cfg
+OPT_PREFS = (U_EXP, U_POW2, IDENT, F.AssociatedDistortion(U_POW2, 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +168,8 @@ def test_solve_records_existence_regime(lognormal):
     assert diag.existence["in_regime"] is False
 
 
-def test_oracle_agreement_ten_instances():
+def oracle_instances():
+    """Ten five-state problems: (kernel, preferences, x0)."""
     rng = np.random.default_rng(2024)
     for trial in range(10):
         vals = np.sort(rng.uniform(0.2, 2.5, 5))
@@ -171,13 +178,88 @@ def test_oracle_agreement_ten_instances():
         u_p = U_EXP if trial % 2 else F.PowerUtility(-1.0)
         w_p = F.PrelecDistortion(1.0, 0.65) if trial % 3 else IDENT
         w_m = F.PowerDistortion(1.2)
-        u_m = F.PowerUtility(2.0)
-        x0 = float(rng.uniform(0.5, 1.5))
-        best, _ = lattice_oracle(kern, u_p, u_m, w_p, w_m, x0,
-                                 np.linspace(-1.0, 3.0, 15), 5)
+        yield kern, (u_p, U_POW2, w_p, w_m), float(rng.uniform(0.5, 1.5))
+
+
+def test_oracle_agreement_ten_instances():
+    for trial, (kern, prefs, x0) in enumerate(oracle_instances()):
+        best, _ = lattice_oracle(kern, *prefs, x0, np.linspace(-1.0, 3.0, 15), 5)
         opts = SolveOptions(q_min=-1.0, q_max=3.0)
-        port, _ = solve(kern, u_p, u_m, w_p, w_m, x0, n_cells=5, opts=opts)
+        port, _ = solve(kern, *prefs, x0, n_cells=5, opts=opts)
         assert port.cpt.total >= best - 1e-6, (trial, port.cpt.total, best)
+
+
+def bisection_search(sweep):
+    """Reference multiplier search: doubling, then 50 bisection steps."""
+    lo, hi = None, sweep(0.0)
+    while not hi.within:
+        lo, hi = hi, sweep(max(2.0 * hi.lam, 1.0))
+    for _ in range(50 if lo is not None else 0):
+        cut = sweep(0.5 * (lo.lam + hi.lam))
+        if cut.within:
+            hi = cut
+        else:
+            lo = cut
+    return lo, hi
+
+
+def test_crossing_search_matches_bisection(lognormal, monkeypatch):
+    # the cutting-plane search returns the profile the bisection returned
+    cases = [(lognormal, OPT_PREFS, 1.0, 256, SolveOptions())]
+    cases += [(kern, prefs, x0, 5, SolveOptions(q_min=-1.0, q_max=3.0))
+              for kern, prefs, x0 in oracle_instances()]
+    for kern, prefs, x0, n_cells, opts in cases:
+        port, diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_multiplier_search", bisection_search)
+            ref, ref_diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        np.testing.assert_array_equal(port.q, ref.q)
+        assert diag.converged == ref_diag.converged
+        assert diag.bound <= ref_diag.bound + 1e-12
+        assert diag.iterates <= ref_diag.iterates
+
+
+def test_bound_is_dual_minimum(lognormal):
+    # D(lam) = top(lam) + lam x0 is convex: the bound is its minimum, so no
+    # multiplier goes below it and a scalar minimisation reaches it
+    x0, n_cells = 1.0, 32
+    _, diag = solve(lognormal, *OPT_PREFS, x0, n_cells=n_cells)
+    grid = _Grid(lognormal, *OPT_PREFS, n_cells)
+    levels = _lattice(x0, -math.inf, math.inf)
+    payoff = (np.outer(grid.gain_weights, U_EXP(np.maximum(levels, 0.0)))
+              - np.outer(grid.loss_weights, U_POW2(np.maximum(-levels, 0.0))))
+
+    def dual(lam):
+        return _sweep(payoff - np.outer(grid.state_prices, lam * levels))[0] + lam * x0
+
+    lams = np.geomspace(1e-4, 1e3, 200)
+    duals = np.array([dual(lam) for lam in lams])
+    assert np.all(duals >= diag.bound - 1e-12)
+    i = int(np.argmin(duals))
+    found = minimize_scalar(dual, bounds=(lams[i - 1], lams[i + 1]), method="bounded",
+                            options={"xatol": 1e-12})
+    assert diag.bound - 1e-12 <= found.fun <= diag.bound + 1e-9
+
+
+def test_crossing_search_sweep_count(lognormal):
+    # doubling plus a few exact cuts; the bisection took 52 sweeps
+    _, diag = solve(lognormal, *OPT_PREFS, 1.0, n_cells=256)
+    assert diag.converged
+    assert diag.iterates <= 25
+
+
+def test_crossing_search_stops_on_tie():
+    # two sweeps whose lines cross at an end of the bracket: no cut is made
+    calls = []
+
+    def sweep(lam):
+        calls.append(lam)
+        cost = 2.0 if lam < 1.0 else 0.5
+        return optimizer._Swept(lam, None, cost, 1.0 + lam * cost, cost <= 1.0)
+
+    lo, hi = _multiplier_search(sweep)
+    assert (lo.lam, hi.lam) == (0.0, 1.0)
+    assert calls == [0.0, 1.0]
 
 
 def test_bound_covers_lattice_profiles():
