@@ -15,7 +15,6 @@ from .choquet import (
     choquet_oracle,
     choquet_positive,
     cpt_value,
-    survival,
 )
 from .functions import (
     AssociatedDistortion,
@@ -32,7 +31,6 @@ from .functions import (
     TableUtility,
     UtilityFunction,
     ZTransform,
-    associated_distortion,
     normalize_utility,
     z_transform,
 )
@@ -74,5 +72,4 @@ from .optimizer import (
     lattice_oracle,
     solve,
     tightness_report,
-    value_and_cost,
 )

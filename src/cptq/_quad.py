@@ -14,6 +14,7 @@ import numpy as np
 
 K_MIN = 10
 K_MAX = 22
+RTOL = 1e-8  # relative change between successive grids that stops the refinement
 DIVERGENCE_Y0 = 1e12
 DIVERGENCE_ATOL = 1e-6
 DIVERGENCE_DOUBLINGS = 8
@@ -50,7 +51,7 @@ def diverges(values, weights):
     return True
 
 
-def stieltjes_integral(value_fn, weight_fn, rtol=1e-8, k_min=K_MIN, k_max=K_MAX):
+def stieltjes_integral(value_fn, weight_fn):
     """Adaptive value of integral value_fn(s) d(weight_fn)(s) over (0, 1).
 
     ``value_fn`` is evaluated at cell midpoints, ``weight_fn`` at cell edges
@@ -59,7 +60,7 @@ def stieltjes_integral(value_fn, weight_fn, rtol=1e-8, k_min=K_MIN, k_max=K_MAX)
     """
     prev = None
     vals = weights = None
-    for k in range(k_min, k_max + 1):
+    for k in range(K_MIN, K_MAX + 1):
         edges = cell_edges(k)
         weights = np.diff(weight_fn(edges))
         vals = np.asarray(value_fn(cell_midpoints(k)), dtype=float)
@@ -72,7 +73,7 @@ def stieltjes_integral(value_fn, weight_fn, rtol=1e-8, k_min=K_MIN, k_max=K_MAX)
             est = _truncated_sum(vals[mask], weights[mask], DIVERGENCE_Y0 * 2**DIVERGENCE_DOUBLINGS)
             return est
         est = float(np.sum(vals[mask] * weights[mask]))
-        if prev is not None and abs(est - prev) <= rtol * max(abs(est), 1e-12):
+        if prev is not None and abs(est - prev) <= RTOL * max(abs(est), 1e-12):
             return est
         prev = est
     if diverges(vals[mask], weights[mask]):
@@ -100,7 +101,7 @@ def _endpoint_power_fit(g_left, widths):
     return math.exp(logc) * cell ** (b + 1.0) / (b + 1.0)
 
 
-def unit_integral(g_fn, rtol=1e-8, k_min=K_MIN, k_max=K_MAX, endpoint_fit=True):
+def unit_integral(g_fn):
     """Adaptive integral of g over (0, 1) by midpoint sums on dyadic grids.
 
     First and last cells may be replaced by a local power-law fit of |g|,
@@ -109,24 +110,23 @@ def unit_integral(g_fn, rtol=1e-8, k_min=K_MIN, k_max=K_MAX, endpoint_fit=True):
     """
     prev = None
     est = None
-    for k in range(k_min, k_max + 1):
+    for k in range(K_MIN, K_MAX + 1):
         mids = cell_midpoints(k)
         vals = np.asarray(g_fn(mids), dtype=float)
         if not np.all(np.isfinite(vals)):
             return math.inf, False
         est = float(np.mean(vals))
-        if endpoint_fit and vals.size >= 8:
-            n = vals.size
-            for side in ("lo", "hi"):
-                probes = vals[:4] if side == "lo" else vals[::-1][:4]
-                sign = np.sign(probes[0])
-                if sign == 0 or np.any(np.sign(probes) != sign):
-                    continue
-                widths = (np.arange(4) + 0.5) / n
-                corr = _endpoint_power_fit(sign * probes, widths)
-                if corr is not None:
-                    est += sign * corr - probes[0] / n
-        if prev is not None and abs(est - prev) <= rtol * max(abs(est), 1e-12):
+        n = vals.size
+        for side in ("lo", "hi"):
+            probes = vals[:4] if side == "lo" else vals[::-1][:4]
+            sign = np.sign(probes[0])
+            if sign == 0 or np.any(np.sign(probes) != sign):
+                continue
+            widths = (np.arange(4) + 0.5) / n
+            corr = _endpoint_power_fit(sign * probes, widths)
+            if corr is not None:
+                est += sign * corr - probes[0] / n
+        if prev is not None and abs(est - prev) <= RTOL * max(abs(est), 1e-12):
             return est, True
         prev = est
     return est, False

@@ -30,6 +30,9 @@ SLOPE_TOL = 0.05
 PRODUCT_FLOOR = 1e-8
 GROWTH_THRESHOLD = 1e3
 SIGMA_LADDER = (1.1, 1.25, 1.5, 2.0, 4.0)
+LIMINF_PROBES = 12  # the liminf check probes x = 10^-1, ..., 10^-LIMINF_PROBES
+AE_REL_STEP = 1e-4  # relative step of the elasticity's central differences
+AE_TAIL = 8  # the elasticity estimate is the maximum over this many last probes
 
 # catalog kinds whose loss utility is capped by a sub-linear power for large
 # wealth, where the boundary case delta = 1 is still not attainable
@@ -62,15 +65,28 @@ class ConditionVerdict:
         }
 
 
-def _geometric_grid(x0=1.0, ratio=2.0, max_points=41, cap=GRID_CAP):
-    xs = x0 * ratio ** np.arange(max_points)
+def _geometric_grid(max_points=41, cap=GRID_CAP):
+    xs = 2.0 ** np.arange(max_points)
     return xs[xs <= cap]
+
+
+def _pointwise(fn, xs):
+    """``fn`` at each point of ``xs``; nan where it raises DomainError (a
+    utility may refuse arguments it cannot evaluate without declaring a
+    range)."""
+    out = np.full(len(xs), np.nan)
+    for i, x in enumerate(xs):
+        try:
+            out[i] = fn(x)
+        except DomainError:
+            continue
+    return out
 
 
 DECLINE_TOL = 0.5  # total log-decline across the probes that counts as decay
 
 
-def liminf_condition(w_minus, u_minus, levels=12):
+def liminf_condition(w_minus, u_minus):
     """Check whether w_minus(x) * u_minus(1/x) stays away from 0 as x -> 0+.
 
     Probes x = 10^-j and classifies the trend of the product in log-log
@@ -81,9 +97,11 @@ def liminf_condition(w_minus, u_minus, levels=12):
     growing product bounded away from zero gives 'yes'; anything else,
     including a product that cannot be evaluated at the probes (a table
     utility refuses arguments beyond its range), is inconclusive.  Verdicts
-    are probe evidence, never proofs.
+    are probe evidence, never proofs, except for the associated distortion
+    of u_minus itself: there the product is u(1)^delta * u(1/x)^(1 - delta)
+    with u unbounded, so the liminf is positive exactly when delta <= 1.
     """
-    xs = 10.0 ** -np.arange(1, levels + 1, dtype=float)
+    xs = 10.0 ** -np.arange(1, LIMINF_PROBES + 1, dtype=float)
     try:
         log_prod = np.asarray(w_minus.log_eval(xs), dtype=float) + np.asarray(
             u_minus.log_eval(1.0 / xs), dtype=float
@@ -97,7 +115,7 @@ def liminf_condition(w_minus, u_minus, levels=12):
         products = np.exp(log_prod)
     evidence = [[float(x), float(p)] for x, p in zip(xs, products)]
 
-    tail = slice(max(0, levels - 6), levels)
+    tail = slice(LIMINF_PROBES - 6, LIMINF_PROBES)
     slope = float(np.polyfit(np.log(xs[tail]), log_prod[tail], 1)[0])
     total_change = float(log_prod[-1] - log_prod[0])
     noise = 1e-9 * np.maximum(np.abs(log_prod[:-1]), 1.0)
@@ -109,7 +127,11 @@ def liminf_condition(w_minus, u_minus, levels=12):
         "last_product": float(products[-1]),
     }
 
-    if slope > SLOPE_TOL or (nonincreasing and total_change < -DECLINE_TOL):
+    if isinstance(w_minus, AssociatedDistortion) and w_minus.utility is u_minus:
+        holds = "yes" if w_minus.delta <= 1.0 else "no"
+        detail = ("associated distortion of the loss utility: closed-form verdict, "
+                  "the product is u(1)^delta * u(1/x)^(1 - delta)")
+    elif slope > SLOPE_TOL or (nonincreasing and total_change < -DECLINE_TOL):
         holds = "no"
         detail = "product decays towards 0 along the probe grid"
     elif bounded_away and (abs(slope) <= SLOPE_TOL or slope < -SLOPE_TOL):
@@ -128,7 +150,7 @@ def liminf_condition(w_minus, u_minus, levels=12):
     )
 
 
-def check_growth_condition(u_minus, delta, sigma_ladder=SIGMA_LADDER):
+def check_growth_condition(u_minus, delta):
     """Search for a stretch factor under which the loss growth transform
     dominates its own delta-discounted stretch.
 
@@ -142,13 +164,13 @@ def check_growth_condition(u_minus, delta, sigma_ladder=SIGMA_LADDER):
         raise ParameterError("delta must lie in (0, 1)")
     best_evidence = None
     decisive_fail = []
-    for sigma in sigma_ladder:
+    for sigma in SIGMA_LADDER:
         xs = _geometric_grid(cap=GRID_CAP / sigma)
         g = _z_difference(u_minus, delta, sigma, xs)
         finite = np.isfinite(g)
         if np.count_nonzero(finite) < 8:
             # domain-limited utility (tables): densify inside the evaluable range
-            cap = _evaluable_cap(u_minus) / sigma
+            cap = _domain_cap(u_minus.log_at_exp, GRID_CAP) / sigma
             if cap <= 1.0:
                 continue
             xs = np.geomspace(min(1.0, cap / 16.0), cap, 12)
@@ -192,32 +214,13 @@ def check_growth_condition(u_minus, delta, sigma_ladder=SIGMA_LADDER):
 
 def _z_difference(utility, delta, sigma, xs):
     """z(x) - delta*z(sigma x) evaluated pointwise; nan where not evaluable."""
-    out = np.full(xs.shape, np.nan)
-    for i, x in enumerate(xs):
-        try:
-            out[i] = utility.log_at_exp(x) - delta * utility.log_at_exp(sigma * x)
-        except DomainError:
-            continue
-    return out
-
-
-def _evaluable_cap(utility, hi=GRID_CAP):
-    """Largest transform argument the utility can evaluate, by bisection."""
-    return _domain_cap(utility.log_at_exp, hi)
-
-
-def _log_eval_cap(utility, hi=1e280):
-    """Largest plain argument whose log-value the utility can produce."""
-    return _domain_cap(utility.log_eval, hi)
+    return _pointwise(lambda x: utility.log_at_exp(x) - delta * utility.log_at_exp(sigma * x), xs)
 
 
 def _domain_cap(fn, hi):
+    """Largest argument up to ``hi`` that ``fn`` evaluates, by bisection."""
     def ok(x):
-        try:
-            fn(x)
-            return True
-        except DomainError:
-            return False
+        return not np.isnan(_pointwise(fn, [x])[0])
 
     if ok(hi):
         return hi
@@ -242,7 +245,7 @@ def _domain_cap(fn, hi):
 RATIO_DECLINE_TOL = 0.1  # visible monotone fall of the log-ratio counts
 
 
-def growth_ratio_probe(u_minus, delta, xi, max_points=61):
+def growth_ratio_probe(u_minus, delta, xi):
     """Direct form of the growth condition: does u(x^xi)^delta / u(x) -> 0?
 
     Evaluates the log-ratio through the utility's own argument, which caps
@@ -252,14 +255,9 @@ def growth_ratio_probe(u_minus, delta, xi, max_points=61):
     'no'.  Intended to agree in verdict with check_growth_condition on the
     catalog utilities.
     """
-    cap = min(10.0 ** (280.0 / xi), _log_eval_cap(u_minus) ** (1.0 / xi))
-    xs = np.geomspace(1.0 + 1e-9, cap, max_points)
-    log_ratio = np.full(xs.shape, np.nan)
-    for i, x in enumerate(xs):
-        try:
-            log_ratio[i] = delta * u_minus.log_eval(x ** xi) - u_minus.log_eval(x)
-        except DomainError:
-            continue
+    cap = min(10.0 ** (280.0 / xi), _domain_cap(u_minus.log_eval, 1e280) ** (1.0 / xi))
+    xs = np.geomspace(1.0 + 1e-9, cap, 61)
+    log_ratio = _pointwise(lambda x: delta * u_minus.log_eval(x ** xi) - u_minus.log_eval(x), xs)
     finite = np.isfinite(log_ratio)
     xs, log_ratio = xs[finite], log_ratio[finite]
     evidence = [[float(a), float(b)] for a, b in zip(xs, log_ratio)]
@@ -350,43 +348,34 @@ def check_delta_threshold(u_minus, delta):
     )
 
 
-def asymptotic_elasticity(fn, x_start=1.0, rel_step=1e-4, tail=8):
+def asymptotic_elasticity(fn):
     """Upper tail estimate of the elasticity x f'(x) / f(x).
 
     Central differences of log f against log x on a geometric grid; the
-    maximum over the last ``tail`` probes estimates the limsup.  ``fn`` may
-    be a utility, a distortion, or a growth transform; anything evaluable
-    and positive on the tail works.
+    maximum over the last AE_TAIL probes estimates the limsup.  ``fn`` is a
+    utility or a growth transform: anything whose ``log_eval`` is finite on
+    the tail works.
     """
-    xs = _geometric_grid(x0=x_start)
-
-    def log_of(v):
-        if hasattr(fn, "log_eval"):
-            return np.asarray(fn.log_eval(v), dtype=float)
-        out = np.asarray(fn(v), dtype=float)
-        if np.any(out <= 0.0):
-            raise DomainError("function must be positive on the probe tail")
-        return np.log(out)
-
-    up = log_of(xs * (1.0 + rel_step))
-    down = log_of(xs * (1.0 - rel_step))
-    vals = log_of(xs)
-    if not np.all(np.isfinite(vals[-tail:])):
+    xs = _geometric_grid()
+    up = np.asarray(fn.log_eval(xs * (1.0 + AE_REL_STEP)), dtype=float)
+    down = np.asarray(fn.log_eval(xs * (1.0 - AE_REL_STEP)), dtype=float)
+    vals = np.asarray(fn.log_eval(xs), dtype=float)
+    if not np.all(np.isfinite(vals[-AE_TAIL:])):
         raise DomainError("function not evaluable on the probe tail")
     # d log f / d log x by central difference with multiplicative steps
-    dlogx = math.log1p(rel_step) - math.log1p(-rel_step)
+    dlogx = math.log1p(AE_REL_STEP) - math.log1p(-AE_REL_STEP)
     slope = (up - down) / dlogx
-    return float(np.max(slope[-tail:]))
+    return float(np.max(slope[-AE_TAIL:]))
 
 
-def check_elasticity_growth(z, gamma, x_low, lam_points=17, x_points=25):
+def check_elasticity_growth(z, gamma, x_low):
     """Verify z(lam * x) <= lam^gamma * z(x) on a grid of stretches and
     base points; the inequality transfers elasticity control into the
     growth condition."""
     if x_low <= 0:
         raise ParameterError("x_low must be positive")
-    lams = np.geomspace(1.0, 1e4, lam_points)
-    xs = np.geomspace(x_low, 1e6 * x_low, x_points)
+    lams = np.geomspace(1.0, 1e4, 17)
+    xs = np.geomspace(x_low, 1e6 * x_low, 25)
     z_x = np.asarray(z(xs), dtype=float)
     if np.any(z_x <= 0.0):
         raise DomainError("transform must be positive from x_low on")
@@ -424,7 +413,6 @@ class ThresholdFunction:
     utility: object
     delta: float
     zeta: float
-    probe_points: int = 61
 
     def __call__(self, lam):
         return self.eval(lam)
@@ -432,7 +420,7 @@ class ThresholdFunction:
     def eval(self, lam):
         if lam <= 0:
             raise ParameterError("lambda must be positive")
-        xs = np.geomspace(1.0, 1e9, self.probe_points)
+        xs = np.geomspace(1.0, 1e9, 61)
         h = self._margin(xs, lam)
         # inclusive boundary: G is the infimum, equality at the edge is fine;
         # probes outside the utility's range (nan) count as failures
@@ -455,7 +443,7 @@ class ThresholdFunction:
         lo, hi = xs[idx - 1], xs[idx]
         for _ in range(80):
             mid = math.sqrt(lo * hi)
-            if self._margin(np.asarray([mid]), lam)[0] >= -1e-12:
+            if self._margin([mid], lam)[0] >= -1e-12:
                 hi = mid
             else:
                 lo = mid
@@ -465,15 +453,11 @@ class ThresholdFunction:
 
     def _margin(self, xs, lam):
         """Pointwise log-margin; nan (counts as failure) where not evaluable."""
-        out = np.full(np.shape(xs), np.nan)
-        for i, x in enumerate(np.atleast_1d(xs)):
-            try:
-                log_u = self.utility.log_eval(float(x))
-                log_u_zeta = self.utility.log_eval(float(x) ** self.zeta)
-            except DomainError:
-                continue
-            out[i] = (math.log(lam) + log_u) / self.delta - log_u_zeta
-        return out
+        def margin(x):
+            x = float(x)
+            return ((math.log(lam) + self.utility.log_eval(x)) / self.delta
+                    - self.utility.log_eval(x ** self.zeta))
+        return _pointwise(margin, xs)
 
 
 def g_function(u_minus, delta, zeta):

@@ -14,7 +14,6 @@ grids.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import _quad
 from .errors import DivergenceError, DomainError
-from .functions import read_table_csv
+from .functions import read_table_csv, write_table_csv
 
 PROB_TOL = 1e-12
 ORACLE_MAX_ATOMS = 10_000
@@ -86,13 +85,7 @@ class DiscreteLaw:
         return float(out) if p.ndim == 0 else out
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["value", "prob"])
-            for v, p in zip(self.values, self.probs):
-                writer.writerow([repr(float(v)), repr(float(p))])
+        write_table_csv(path, ("value", "prob"), zip(self.values, self.probs), header_lines)
 
     @classmethod
     def from_csv(cls, path):
@@ -107,7 +100,8 @@ class QuantileLaw:
     """Law specified through a (vectorized) quantile function on (0, 1)."""
 
     def __init__(self, quantile_fn):
-        probe = np.asarray(quantile_fn(np.linspace(1e-6, 1.0 - 1e-6, 129)), dtype=float)
+        with np.errstate(over="ignore"):  # an unbounded quantile may overflow near 0 or 1
+            probe = np.asarray(quantile_fn(np.linspace(1e-6, 1.0 - 1e-6, 129)), dtype=float)
         drops = np.diff(probe) < -1e-12 * np.maximum(np.abs(probe[:-1]), 1.0)
         if np.any(drops):
             raise DomainError("quantile function must be non-decreasing")
@@ -177,12 +171,7 @@ def _token(x):
     return repr(float(x))
 
 
-def survival(law, t):
-    """P{X > t} under the given law."""
-    return law.survival(t)
-
-
-def choquet_positive(law, utility, distortion, rtol=1e-8):
+def choquet_positive(law, utility, distortion):
     """Distorted valuation of a non-negative payoff.
 
     Exact step sum for discrete laws; adaptive quantile-grid quadrature for
@@ -197,7 +186,7 @@ def choquet_positive(law, utility, distortion, rtol=1e-8):
     def value_at(mids):
         return utility(q(1.0 - mids))
 
-    return _quad.stieltjes_integral(value_at, distortion, rtol=rtol)
+    return _quad.stieltjes_integral(value_at, distortion)
 
 
 def _choquet_discrete(law, utility, distortion):
@@ -241,16 +230,16 @@ def choquet_oracle(law, utility, distortion):
     return float(np.sum(weights * np.asarray(utility(vals), dtype=float)))
 
 
-def cpt_value(law, u_plus, u_minus, w_plus, w_minus, rtol=1e-8):
+def cpt_value(law, u_plus, u_minus, w_plus, w_minus):
     """CPT value of a signed payoff law.
 
     The gain side must converge (it always does when the gain utility is
     bounded); a diverging loss side yields total -inf.
     """
-    v_plus = choquet_positive(law.positive_part(), u_plus, w_plus, rtol=rtol)
+    v_plus = choquet_positive(law.positive_part(), u_plus, w_plus)
     if math.isinf(v_plus):
         raise DivergenceError(
             "gain-side valuation diverged; bounded gain utilities cannot produce this"
         )
-    v_minus = choquet_positive(law.negative_part(), u_minus, w_minus, rtol=rtol)
+    v_minus = choquet_positive(law.negative_part(), u_minus, w_minus)
     return CPTValue(v_plus=v_plus, v_minus=v_minus)

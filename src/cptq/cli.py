@@ -230,12 +230,9 @@ def cmd_value(cfg, out_dir, seed):
     value = cpt_value(law, u_plus, u_minus, w_plus, w_minus)
     print(value)
     path = os.path.join(out_dir, "value.csv")
-    with open(path, "w") as fh:
-        for line in config_header(cfg, seed):
-            fh.write(f"# {line}\n")
-        fh.write("v_plus,v_minus,total\n")
-        d = value.as_dict()
-        fh.write(f"{d['v_plus']},{d['v_minus']},{d['total']}\n")
+    functions.write_table_csv(path, ("v_plus", "v_minus", "total"),
+                              [(value.v_plus, value.v_minus, value.total)],
+                              config_header(cfg, seed))
     print(f"wrote {path}")
     return 0
 
@@ -326,6 +323,10 @@ def cmd_optimize(cfg, out_dir, seed):
             end = float(u.xs[-1])
             raise ConfigError(f"utility.{side}.kind = custom is tabulated up to "
                               f"x = {end!r}: set {key} {need}{end!r}")
+    if opts.delta is not None and isinstance(u_minus, functions.TableUtility):
+        # the existence record evaluates the associated w_delta, i.e. u(1/p), down to tiny p
+        raise ConfigError("optimize.delta needs a parametric loss utility, "
+                          "not utility.minus.kind = custom")
     n_cells = int(cfg.get("optimize.n", 512))
     portfolio, diag = optimizer.solve(
         kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=n_cells, opts=opts
@@ -334,12 +335,10 @@ def cmd_optimize(cfg, out_dir, seed):
     port_path = os.path.join(out_dir, "portfolio.csv")
     portfolio.to_csv(port_path, header_lines=header)
     diag_path = os.path.join(out_dir, "diagnostics.csv")
-    with open(diag_path, "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write("accepted_step,value,neg_moment\n")
-        for i, (v, m) in enumerate(zip(diag.value_trace, diag.neg_moment_trace)):
-            fh.write(f"{i},{repr(float(v))},{repr(float(m))}\n")
+    functions.write_table_csv(diag_path, ("accepted_step", "value", "neg_moment"),
+                              ((i, v, m) for i, (v, m) in
+                               enumerate(zip(diag.value_trace, diag.neg_moment_trace))),
+                              header)
     print(f"value = {portfolio.cpt.total!r}, cost = {portfolio.cost!r}, "
           f"converged = {diag.converged}, gap = {diag.gap!r}, box_binds = {diag.box_binds}")
     if diag.existence is not None:
@@ -359,12 +358,9 @@ def cmd_elasticity(cfg, out_dir, seed):
     print(f"AE of growth transform: {ae_z!r}")
     print(f"AE of utility:          {ae_u!r}")
     path = os.path.join(out_dir, "elasticity.csv")
-    with open(path, "w") as fh:
-        for line in config_header(cfg, seed):
-            fh.write(f"# {line}\n")
-        fh.write("quantity,estimate\n")
-        fh.write(f"AE_transform,{repr(ae_z)}\n")
-        fh.write(f"AE_utility,{repr(ae_u)}\n")
+    functions.write_table_csv(path, ("quantity", "estimate"),
+                              [("AE_transform", ae_z), ("AE_utility", ae_u)],
+                              config_header(cfg, seed))
     print(f"wrote {path}")
     return 0
 

@@ -27,6 +27,7 @@ import numpy as np
 from .attainability import liminf_condition
 from .choquet import DiscreteLaw, cpt_value
 from .errors import ConstructionError, LevelTooLowError
+from .functions import write_table_csv
 from .market import budget
 
 LEVEL_FLOOR = 1e-300
@@ -72,8 +73,7 @@ def find_level(n, kernel, w_minus, u_minus, a_prev=None):
         a *= 0.5
     if good is None:
         raise ConstructionError(
-            f"no level with distorted product below 1/{n} found above {LEVEL_FLOOR}; "
-            "the loss liminf condition likely holds for this configuration"
+            f"no level with distorted product below 1/{n} found above {LEVEL_FLOOR}"
         )
     if bad is not None:
         for _ in range(80):
@@ -119,16 +119,15 @@ class SequenceElement:
         return self.cpt.total
 
 
-def build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0, a_prev=None, level=None):
-    """Assemble the n-th two-atom payoff and verify its defining identities.
+def build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0, level):
+    """Assemble the n-th two-atom payoff at ``level`` = (a, b) from
+    ``find_level`` and verify its defining identities.
 
     Kernels with atoms cannot realize every level; the nearest achievable
     one (the survival probability of the kernel level b) is used instead and
     the adjustment size recorded in ``level_gap``.  The gain event is priced
     with the kernel's own mean, Q(A_n) = E[rho] - Q(A_n^c), which need not be 1.
     """
-    if level is None:
-        level = find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)
     a, b = level
     if b <= 2.0 * x0:
         raise LevelTooLowError(
@@ -196,16 +195,55 @@ class NonattainabilityReport:
                    self.ceiling - el.value)
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("n,a_n,b_n,V_plus,V_minus,V,gap\n")
-            for row in self.rows():
-                fh.write(",".join(repr(float(v)) if i else str(v)
-                                  for i, v in enumerate(row)) + "\n")
+        write_table_csv(path, ("n", "a_n", "b_n", "V_plus", "V_minus", "V", "gap"),
+                        self.rows(), header_lines)
 
     def to_svg(self, path):
-        _write_value_climb_svg(path, self)
+        """Plot of V(Z_n) against n under the dashed ceiling line."""
+        width, height, margin = 640, 400, 56
+        ns = [el.n for el in self.elements]
+        vs = [el.value for el in self.elements]
+        m_line = self.ceiling
+        x_lo, x_hi = min(ns), max(ns)
+        y_lo = min(min(vs), 0.0)
+        y_hi = max(m_line, max(vs))
+        pad = 0.05 * (y_hi - y_lo or 1.0)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+
+        def sx(x):
+            if x_hi == x_lo:
+                return margin
+            return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+
+        def sy(y):
+            return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+
+        pts = " ".join(f"{sx(n):.2f},{sy(v):.2f}" for n, v in zip(ns, vs))
+        parts = [
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>',
+            f'<line x1="{margin}" y1="{height-margin}" x2="{width-margin}" '
+            f'y2="{height-margin}" stroke="black"/>',
+            f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
+            f'y2="{height-margin}" stroke="black"/>',
+            f'<line x1="{margin}" y1="{sy(m_line):.2f}" x2="{width-margin}" '
+            f'y2="{sy(m_line):.2f}" stroke="crimson" stroke-dasharray="6,4"/>',
+            f'<text x="{width-margin}" y="{sy(m_line)-6:.2f}" text-anchor="end" '
+            f'fill="crimson" font-size="12">ceiling M = {m_line:g}</text>',
+            f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>',
+        ]
+        for n, v in zip(ns, vs):
+            parts.append(f'<circle cx="{sx(n):.2f}" cy="{sy(v):.2f}" r="2.5" fill="steelblue"/>')
+        parts.append(
+            f'<text x="{width/2}" y="{height-16}" text-anchor="middle" font-size="12">n</text>'
+        )
+        parts.append(
+            f'<text x="16" y="{height/2}" font-size="12" '
+            f'transform="rotate(-90 16 {height/2})" text-anchor="middle">V(Z_n)</text>'
+        )
+        parts.append("</svg>")
+        with open(path, "w") as fh:
+            fh.write("\n".join(parts) + "\n")
 
 
 def demonstrate_nonattainability(kernel, u_plus, u_minus, w_plus, w_minus, x0,
@@ -248,49 +286,3 @@ def demonstrate_nonattainability(kernel, u_plus, u_minus, w_plus, w_minus, x0,
             "for the kernel levels reached"
         )
     return report
-
-
-def _write_value_climb_svg(path, report, width=640, height=400, margin=56):
-    ns = [el.n for el in report.elements]
-    vs = [el.value for el in report.elements]
-    m_line = report.ceiling
-    x_lo, x_hi = min(ns), max(ns)
-    y_lo = min(min(vs), 0.0)
-    y_hi = max(m_line, max(vs))
-    pad = 0.05 * (y_hi - y_lo or 1.0)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-
-    def sx(x):
-        if x_hi == x_lo:
-            return margin
-        return margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
-
-    def sy(y):
-        return height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
-
-    pts = " ".join(f"{sx(n):.2f},{sy(v):.2f}" for n, v in zip(ns, vs))
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height-margin}" x2="{width-margin}" '
-        f'y2="{height-margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
-        f'y2="{height-margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{sy(m_line):.2f}" x2="{width-margin}" '
-        f'y2="{sy(m_line):.2f}" stroke="crimson" stroke-dasharray="6,4"/>',
-        f'<text x="{width-margin}" y="{sy(m_line)-6:.2f}" text-anchor="end" '
-        f'fill="crimson" font-size="12">ceiling M = {m_line:g}</text>',
-        f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1.5"/>',
-    ]
-    for n, v in zip(ns, vs):
-        parts.append(f'<circle cx="{sx(n):.2f}" cy="{sy(v):.2f}" r="2.5" fill="steelblue"/>')
-    parts.append(
-        f'<text x="{width/2}" y="{height-16}" text-anchor="middle" font-size="12">n</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{height/2}" font-size="12" '
-        f'transform="rotate(-90 16 {height/2})" text-anchor="middle">V(Z_n)</text>'
-    )
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")

@@ -551,17 +551,12 @@ def normalize_utility(utility):
     return ScaledUtility(utility, scale), scale
 
 
-def associated_distortion(utility, delta):
-    """Distortion induced by a loss utility at strength ``delta``."""
-    return AssociatedDistortion(utility, delta)
-
-
-def bracketed_inverse(utility, y, rtol=1e-10):
+def bracketed_inverse(utility, y):
     """Invert a utility by doubling bracket search plus bisection.
 
     Independent of the closed-form ``inverse`` methods; used to cross-check
     them.  The bracket grows from x = 1 by doubling (or shrinks by halving)
-    until it straddles the target, then bisects to relative width ``rtol``.
+    until it straddles the target, then bisects to relative width 1e-10.
     """
     if y < 0:
         raise DomainError("inversion target must be non-negative")
@@ -574,7 +569,7 @@ def bracketed_inverse(utility, y, rtol=1e-10):
         hi *= 2.0
     while utility(lo) > y:
         lo /= 2.0
-    while hi - lo > rtol * max(hi, 1.0):
+    while hi - lo > 1e-10 * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         if utility(mid) < y:
             lo = mid
@@ -616,6 +611,22 @@ def read_table_csv(path, header, header_required=False):
         raise DomainError(f"{path}: table must start with the header '{header},value'")
     first, second = np.array(rows).reshape(-1, 2).T.copy()
     return first, second, saturation
+
+
+def write_table_csv(path, columns, rows, header_lines=()):
+    """Write a ``#`` comment block, the ``columns`` header and the ``rows``.
+
+    A ``str`` or ``int`` cell is written as is, any other cell as
+    ``repr(float(cell))`` (so infinities read back as ``inf``); every line
+    ends in a bare line feed.
+    """
+    with open(path, "w", newline="") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v))
+                              for v in row) + "\n")
 
 
 UTILITY_KINDS = {

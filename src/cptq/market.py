@@ -60,21 +60,17 @@ class PricingKernel:
         grid = np.linspace(1e-6, 1.0 - 1e-6, 257)[::32]
         return [[float(p), float(q)] for p, q in zip(grid, self.quantile(grid))]
 
-    def partial_expectation(self, lo, hi):
-        """integral_lo^hi q_rho(x) dx."""
-        return self.tail_expectation(1.0 - lo) - self.tail_expectation(1.0 - hi)
-
     @property
     def mean(self):
         """E_P[rho] = total mass of the state-price density."""
         return self.tail_expectation(1.0)
 
-    def moment(self, order, rtol=1e-8):
+    def moment(self, order):
         """(estimate, finite) for E[rho^order]; order may be negative."""
         def g(x):
             with np.errstate(over="ignore"):
                 return self.quantile(x) ** order
-        value, _ = _quad.unit_integral(g, rtol=rtol)
+        value, _ = _quad.unit_integral(g)
         if math.isinf(value):
             return math.inf, False
         return value, True
@@ -328,7 +324,10 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(kernel, moment_orders=(1, 2, 4, 8, 16), tail_levels=14):
+TAIL_LEVELS = 14  # the unboundedness probe reads q_rho(1 - 10^-j) for j = 1..TAIL_LEVELS
+
+
+def check_assumptions(kernel, moment_orders=(1, 2, 4, 8, 16)):
     """Probe the kernel's regularity: continuity, unbounded top, all moments.
 
     The verdicts are numeric evidence on finite ladders, not proofs; every
@@ -337,7 +336,7 @@ def check_assumptions(kernel, moment_orders=(1, 2, 4, 8, 16), tail_levels=14):
     report = AssumptionReport(continuous_cdf="yes" if kernel.continuous else "no",
                               continuous_evidence=kernel.continuity_evidence())
 
-    levels = [10.0 ** -j for j in range(1, tail_levels + 1)]
+    levels = [10.0 ** -j for j in range(1, TAIL_LEVELS + 1)]
     top = [float(kernel.quantile_upper(e)) for e in levels]
     report.unbounded_evidence = [[e, q] for e, q in zip(levels, top)]
     growing = all(b > a for a, b in zip(top, top[1:]))
@@ -363,7 +362,7 @@ def check_assumptions(kernel, moment_orders=(1, 2, 4, 8, 16), tail_levels=14):
 # cost functional
 
 
-def budget(kernel, law, rtol=1e-8):
+def budget(kernel, law):
     """Cost of the payoff with law ``law`` arranged anti-comonotonically
     with the kernel: integral_0^1 q_rho(x) q_nu(1 - x) dx.
 
@@ -371,10 +370,10 @@ def budget(kernel, law, rtol=1e-8):
     expectations; quantile laws by adaptive quadrature.  A divergent
     negative part means the arrangement is inadmissible and raises.
     """
-    return _cost(kernel, law, True, rtol)
+    return _cost(kernel, law, True)
 
 
-def _cost(kernel, law, anti, rtol):
+def _cost(kernel, law, anti):
     """Anti-comonotone (``anti``) or comonotone cost of a law, a quantile
     law or a bare quantile function."""
     if isinstance(law, DiscreteLaw):
@@ -382,7 +381,7 @@ def _cost(kernel, law, anti, rtol):
     q_fn = law.quantile_fn if isinstance(law, QuantileLaw) else law
     if not callable(q_fn):
         raise DomainError(f"cannot price object of type {type(law).__name__}")
-    return _budget_smooth(kernel, q_fn, anti, rtol)
+    return _budget_smooth(kernel, q_fn, anti)
 
 
 def _budget_steps(kernel, law, anti):
@@ -398,12 +397,13 @@ def _budget_steps(kernel, law, anti):
     return float(np.sum(vals * masses))
 
 
-def _budget_smooth(kernel, q_fn, anti, rtol):
+def _budget_smooth(kernel, q_fn, anti):
     def g(x):
         q_arg = 1.0 - x if anti else x
-        return np.asarray(kernel.quantile(x), dtype=float) * np.asarray(
-            q_fn(q_arg), dtype=float
-        )
+        with np.errstate(over="ignore"):  # infinities feed the divergence rule
+            return np.asarray(kernel.quantile(x), dtype=float) * np.asarray(
+                q_fn(q_arg), dtype=float
+            )
 
     def g_pos(x):
         return np.maximum(g(x), 0.0)
@@ -411,19 +411,19 @@ def _budget_smooth(kernel, q_fn, anti, rtol):
     def g_neg(x):
         return np.maximum(-g(x), 0.0)
 
-    neg, _ = _quad.unit_integral(g_neg, rtol=rtol)
+    neg, _ = _quad.unit_integral(g_neg)
     if math.isinf(neg):
         raise DivergenceError("negative part of the cost diverges; payoff inadmissible")
-    pos, _ = _quad.unit_integral(g_pos, rtol=rtol)
+    pos, _ = _quad.unit_integral(g_pos)
     if math.isinf(pos):
         return math.inf
     return pos - neg
 
 
-def hardy_littlewood_check(kernel, law, rtol=1e-8):
+def hardy_littlewood_check(kernel, law):
     """Extreme costs of a payoff law over all couplings with the kernel.
 
     Returns (lower, upper): anti-comonotone and comonotone arrangements.
     Any joint arrangement with these marginals costs within the bracket.
     """
-    return _cost(kernel, law, True, rtol), _cost(kernel, law, False, rtol)
+    return _cost(kernel, law, True), _cost(kernel, law, False)

@@ -30,7 +30,7 @@ import numpy as np
 from .attainability import check_growth_condition
 from .choquet import CPTValue, DiscreteLaw
 from .errors import InfeasibleError, ParameterError
-from .functions import AssociatedDistortion
+from .functions import AssociatedDistortion, write_table_csv
 
 FEAS_TOL = 1e-6
 GAP_RTOL = 1e-6
@@ -103,17 +103,7 @@ class QuantilePortfolio:
         return _neg_moment(self.q, eta)
 
     def to_csv(self, path, header_lines=()):
-        with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("p,q\n")
-            for p, v in zip(self.grid, self.q):
-                fh.write(f"{repr(float(p))},{repr(float(v))}\n")
-
-
-def value_and_cost(portfolio):
-    """Valuation pair of a portfolio, both sides on the same cell grid."""
-    return portfolio.cpt, portfolio.cost
+        write_table_csv(path, ("p", "q"), zip(self.grid, self.q), header_lines)
 
 
 class _Grid:

@@ -59,7 +59,7 @@ def test_liminf_power_grid(alpha, beta):
 
 def test_liminf_associated_at_one_is_boundary_yes():
     u, _ = F.normalize_utility(F.PowerUtility(2.0))
-    w = F.associated_distortion(u, 1.0)
+    w = F.AssociatedDistortion(u, 1.0)
     verdict = attn.liminf_condition(w, u)
     assert verdict.holds == "yes"
     assert all(abs(product - 1.0) < 1e-9 for _, product in verdict.evidence)
@@ -74,9 +74,30 @@ def test_liminf_associated_tracks_delta():
     for u in (F.PowerUtility(2.0), F.LogUtility(), F.LogPowerUtility(1.5, 0.6)):
         un, _ = F.normalize_utility(u)
         for delta in (0.5, 1.0, 1.5):
-            w = F.associated_distortion(un, delta)
+            w = F.AssociatedDistortion(un, delta)
             verdict = attn.liminf_condition(w, un)
             assert verdict.holds == ("yes" if delta <= 1.0 else "no"), (u.kind, delta)
+
+
+@pytest.mark.parametrize("u", [F.LogUtility(), F.PowerUtility(0.5), F.LogPowerUtility(1.0, 0.5)])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.02, 1.1, 1.3])
+def test_liminf_closed_form_for_own_associated_distortion(u, delta):
+    # w(x) u(1/x) = u(1)^delta u(1/x)^(1 - delta) -> 0 for every delta > 1,
+    # however slowly: at delta = 1.02 the probes alone still read it as level
+    verdict = attn.liminf_condition(F.AssociatedDistortion(u, delta), u)
+    assert verdict.holds == ("yes" if delta <= 1.0 else "no")
+    assert len(verdict.evidence) == attn.LIMINF_PROBES
+    if delta > 1.0:
+        assert attn.check_delta_threshold(u, delta).holds == "no"
+
+
+def test_liminf_probes_associated_distortion_of_another_utility():
+    # the closed form needs w_minus built on u_minus itself; a twin is probed
+    for delta in (0.5, 1.5):
+        w = F.AssociatedDistortion(F.PowerUtility(2.0), delta)
+        verdict = attn.liminf_condition(w, F.PowerUtility(2.0))
+        assert verdict.holds == ("yes" if delta <= 1.0 else "no")
+        assert "closed-form" not in verdict.detail
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +243,17 @@ def test_liminf_table_beyond_range_inconclusive():
     assert "beyond the tabulated range" in verdict.detail
     for delta in (0.5, 1.5):  # the threshold check probes the same product
         assert attn.check_delta_threshold(TABLE_U, delta).holds == "inconclusive"
+
+
+def test_liminf_associated_table_utility_inconclusive():
+    # the probe is evaluated before the closed form, so a table still refuses
+    verdict = attn.liminf_condition(F.AssociatedDistortion(TABLE_U, 1.5), TABLE_U)
+    assert verdict.holds == "inconclusive" and verdict.evidence == []
+
+
+def test_pointwise_marks_refused_points_nan():
+    vals = attn._pointwise(TABLE_U.log_eval, np.array([1.0, 2.0, 8.0]))
+    assert vals[0] == 0.0 and vals[1] == math.log(1.5) and np.isnan(vals[2])
 
 
 def test_growth_ratio_probe_stays_in_table():

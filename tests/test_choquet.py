@@ -14,7 +14,6 @@ from cptq.choquet import (
     choquet_oracle,
     choquet_positive,
     cpt_value,
-    survival,
 )
 from cptq.errors import DivergenceError, DomainError
 from conftest import random_discrete_law, registry_member, signed_laws
@@ -25,14 +24,14 @@ ID_U = F.PowerUtility(1.0)
 
 def test_survival_discrete():
     law = DiscreteLaw([2.0, 0.0], [0.25, 0.75])
-    assert survival(law, 1.0) == 0.25
-    assert survival(law, -10.0) == 1.0
-    assert survival(law, 2.0) == 0.0
+    assert law.survival(1.0) == 0.25
+    assert law.survival(-10.0) == 1.0
+    assert law.survival(2.0) == 0.0
 
 
 def test_survival_quantile_uniform():
     unif = QuantileLaw(lambda p: np.asarray(p, dtype=float))
-    assert abs(survival(unif, 0.5) - 0.5) < 1e-10
+    assert abs(unif.survival(0.5) - 0.5) < 1e-10
 
 
 def test_single_atom_value():
@@ -179,6 +178,12 @@ def test_cpt_value_serialization_tokens():
     d = v.as_dict()
     assert d["v_minus"] == "inf" and d["total"] == "-inf"
     assert "inf" in str(v)
+
+
+def test_law_csv_line_ends_are_lf(tmp_path):
+    path = tmp_path / "law.csv"
+    DiscreteLaw([1.5, -2.0], [0.25, 0.75]).to_csv(path, header_lines=["fixture"])
+    assert path.read_bytes() == b"# fixture\nvalue,prob\n1.5,0.25\n-2.0,0.75\n"
 
 
 def test_law_csv_round_trip(tmp_path):

@@ -216,6 +216,37 @@ def test_output_headers_echo_config(tmp_path):
     assert any("seed = 1" in line for line in header)
 
 
+def _assert_table_csv(path):
+    """A leading ``# cptq`` comment block, LF line ends, one header row, and
+    float cells that read back to the same text."""
+    data = path.read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    lines = data.decode().split("\n")[:-1]
+    n_comments = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    assert n_comments > 0 and lines[0].startswith("# cptq ")
+    header, *rows = (line.split(",") for line in lines[n_comments:])
+    assert rows and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for cell in row:
+            if not (cell.isdigit() or cell.startswith("AE_")):  # counters and labels
+                assert repr(float(cell)) == cell
+
+
+def test_output_tables_share_one_format(tmp_path):
+    law = tmp_path / "law.csv"
+    law.write_text("value,prob\n2.0,0.25\n-1.5,0.25\n0.5,0.5\n")
+    runs = [("value", CHECK_CFG + f"law.path = {law}\n", ["value.csv"]),
+            ("optimize", OPT_CFG, ["portfolio.csv", "diagnostics.csv"]),
+            ("demo-nonattain", DEMO_CFG, ["nonattainability.csv"]),
+            ("elasticity", CHECK_CFG, ["elasticity.csv"])]
+    for command, text, names in runs:
+        cfg = _write(tmp_path, f"{command}.cfg", text)
+        out = tmp_path / command
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 0
+        for name in names:
+            _assert_table_csv(out / name)
+
+
 def _table_minus_cfg(tmp_path, delta):
     table = tmp_path / "u.csv"
     table.write_text("x,value\n0.0,0.0\n1.0,1.0\n2.0,1.5\n4.0,2.0\n")
@@ -294,6 +325,50 @@ x0 = 1.0
     assert cli.main(["demo-nonattain", "--config", cfg, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "ConstructionError" in err and "ZeroDivisionError" not in err
+
+
+def test_optimize_delta_over_table_loss_utility_refused(tmp_path, capsys):
+    # the existence record evaluates the associated w_delta down to p = 1e-9,
+    # i.e. u(1e9), far past the table's last row at x = 4
+    table = tmp_path / "u.csv"
+    table.write_text("x,value\n0.0,0.0\n1.0,1.0\n2.0,1.5\n4.0,2.0\n")
+    text = OPT_CFG.replace(
+        "utility.minus.kind = power\nutility.minus.alpha = 2.0",
+        f"utility.minus.kind = custom\nutility.minus.path = {table}").replace(
+        "distortion.minus.kind = associated\ndistortion.minus.delta = 0.5",
+        "distortion.minus.kind = power\ndistortion.minus.beta = 1.2")
+    text += "optimize.q_min = -4\n"
+    assert "optimize.delta = 0.5\n" in text
+    cfg = _write(tmp_path, "t.cfg", text)
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "optimize.delta" in err and "utility.minus.kind = custom" in err
+    cfg = _write(tmp_path, "b.cfg", text.replace("optimize.delta = 0.5\n", ""))
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+BORDER_CFG = """\
+kernel.model = lognormal
+kernel.sigma = 0.3
+utility.plus.kind = exponential
+utility.plus.alpha = 2.0
+utility.minus.kind = logarithmic
+distortion.plus.kind = identity
+distortion.minus.kind = associated
+distortion.minus.delta = {delta}
+check.moment_orders = 1,2
+x0 = 1.0
+"""
+
+
+@pytest.mark.parametrize("delta", [1.02, 1.1, 1.3])
+def test_check_just_above_delta_one_is_consistent(tmp_path, capsys, delta):
+    # the liminf probes stop at x = 1e-12, where (log 1/x)^(1 - delta) has
+    # barely moved; the associated family is decided in closed form
+    cfg = _write(tmp_path, "c.cfg", BORDER_CFG.format(delta=delta))
+    assert cli.main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "loss_liminf: no" in out and "delta_threshold: no" in out
 
 
 def test_demo_table_loss_utility_refused(tmp_path, capsys):

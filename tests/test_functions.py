@@ -118,10 +118,17 @@ def test_normalize_impossible_for_bounded_below_one():
         F.normalize_utility(bounded)
 
 
+def test_write_table_csv_cells(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [("a", 0.1), (3, np.float64(2.5)), ("b", -math.inf)]
+    F.write_table_csv(path, ("key", "value"), rows, header_lines=["one", "two"])
+    assert path.read_bytes() == b"# one\n# two\nkey,value\na,0.1\n3,2.5\nb,-inf\n"
+
+
 def test_associated_power_is_power(rng):
     for alpha in (0.5, 1.0, 2.0):
         for delta in (0.25, 0.5, 1.0, 1.5):
-            w = F.associated_distortion(F.PowerUtility(alpha), delta)
+            w = F.AssociatedDistortion(F.PowerUtility(alpha), delta)
             grid = np.linspace(1e-9, 1.0, 2001)
             assert np.max(np.abs(w(grid) - grid ** (alpha * delta))) < 1e-12
 
@@ -129,28 +136,28 @@ def test_associated_power_is_power(rng):
 def test_associated_log_power_is_prelec():
     u = F.LogPowerUtility(2.0, 0.5)
     for delta in (0.5, 1.0, 2.0):
-        w = F.associated_distortion(u, delta)
+        w = F.AssociatedDistortion(u, delta)
         prelec = F.PrelecDistortion(delta * 2.0, 0.5)
         grid = np.linspace(1e-9, 1.0, 2001)
         assert np.max(np.abs(w(grid) - prelec(grid))) < 1e-9
 
 
 def test_associated_endpoints():
-    w = F.associated_distortion(F.LogUtility(), 0.7)
+    w = F.AssociatedDistortion(F.LogUtility(), 0.7)
     assert w(0.0) == 0.0
     assert abs(w(1.0) - 1.0) < 1e-14
 
 
 def test_associated_requires_unbounded():
     with pytest.raises(AssociationError):
-        F.associated_distortion(F.ExponentialUtility(1.0), 0.5)
+        F.AssociatedDistortion(F.ExponentialUtility(1.0), 0.5)
 
 
 def test_associated_normalized_identity(rng):
     # w_delta(x) * u(1/x)^delta == u(1)^delta == 1 for a normalized utility
     u, _ = F.normalize_utility(F.LogUtility())
     for delta in (0.3, 1.0, 2.0):
-        w = F.associated_distortion(u, delta)
+        w = F.AssociatedDistortion(u, delta)
         xs = rng.uniform(1e-6, 1.0, 200)
         lhs = np.asarray(w.log_eval(xs)) + delta * np.asarray(u.log_eval(1.0 / xs))
         assert np.max(np.abs(lhs)) < 1e-10

@@ -24,7 +24,6 @@ from cptq.optimizer import (
     lattice_oracle,
     solve,
     tightness_report,
-    value_and_cost,
 )
 from conftest import registry_member
 
@@ -43,9 +42,8 @@ def lognormal():
 
 def test_constant_profile(lognormal):
     port = QuantilePortfolio(np.full(16, 1.0), lognormal, U_EXP, ID_U, IDENT, IDENT)
-    cpt, cost = value_and_cost(port)
-    assert abs(cost - 1.0) < 1e-12
-    assert abs(cpt.total - U_EXP(1.0)) < 1e-12
+    assert abs(port.cost - 1.0) < 1e-12
+    assert abs(port.cpt.total - U_EXP(1.0)) < 1e-12
 
 
 def test_zero_profile(lognormal):
@@ -156,12 +154,12 @@ def test_solve_infeasible_box(lognormal):
 
 def test_solve_records_existence_regime(lognormal):
     u_minus = F.PowerUtility(2.0)
-    w_minus = F.associated_distortion(u_minus, 0.5)
+    w_minus = F.AssociatedDistortion(u_minus, 0.5)
     opts = SolveOptions(delta=0.5)
     _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                     n_cells=16, opts=opts)
     assert diag.existence["in_regime"] is True
-    w_bad = F.associated_distortion(u_minus, 1.5)
+    w_bad = F.AssociatedDistortion(u_minus, 1.5)
     opts = SolveOptions(delta=1.5)
     _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_bad, 1.0,
                     n_cells=16, opts=opts)
@@ -280,7 +278,7 @@ def test_bound_covers_lattice_profiles():
 def test_tightness_report_in_regime(lognormal):
     u_minus = F.PowerUtility(2.0)
     delta, zeta, eta = 0.5, 1.5, 1.2
-    w_minus = F.associated_distortion(u_minus, delta)
+    w_minus = F.AssociatedDistortion(u_minus, delta)
     opts = SolveOptions(delta=delta, eta_moment=eta)
     _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                     n_cells=64, opts=opts)
@@ -307,7 +305,7 @@ def test_threshold_contrast_across_resolution(lognormal):
     u_minus = F.PowerUtility(2.0)
     maxima = {}
     for delta in (0.5, 1.5):
-        w_minus = F.associated_distortion(u_minus, delta)
+        w_minus = F.AssociatedDistortion(u_minus, delta)
         out = []
         for n_cells in (256, 512, 1024):
             opts = SolveOptions(eta_moment=1.2, delta=delta)
@@ -327,7 +325,7 @@ def test_box_width_dichotomy(lognormal):
     # box deepens the loss and raises the value; below it the box never binds
     u_minus = F.PowerUtility(2.0)
     for delta in (0.5, 1.5):
-        w_minus = F.associated_distortion(u_minus, delta)
+        w_minus = F.AssociatedDistortion(u_minus, delta)
         runs = [solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0, n_cells=256,
                       opts=SolveOptions(q_min=q_min)) for q_min in (-10.0, -40.0, -160.0)]
         values = [port.cpt.total for port, _ in runs]
