@@ -11,12 +11,19 @@ The solver is the Lagrangian method of the quantile formulation (He & Zhou,
 "Portfolio choice via quantiles", Math. Finance 2011) on a fixed lattice of
 levels: for a multiplier lam, the forward pass V_0 = g_0, V_i = g_i +
 prefix-max(V_{i-1}) with g_i(l) = f_i(l) - lam state_prices[i] l gives the
-best non-decreasing lattice profile exactly.  lam is doubled until that
-profile fits the budget; the dual (the sweep's best sum + lam x0) is convex
-and piecewise linear, so Kelley's cutting-plane step ("The cutting-plane
-method for solving convex programs", SIAM J. 1960) then finds its minimiser
-exactly.  The objective is not concave, so the best
-profile within budget may sit below the dual bound by a duality gap.
+best non-decreasing lattice profile exactly, and its traceback returns the
+least of the tied best profiles.  lam is doubled until that profile fits the
+budget; the dual (the sweep's best sum + lam x0) is convex and piecewise
+linear, so Kelley's cutting-plane step ("The cutting-plane method for
+solving convex programs", SIAM J. 1960) then finds its minimiser exactly.
+The Lagrangian has increasing differences in (l, -lam) and the
+non-decreasing profiles form a sublattice, so the least best profile is
+non-increasing in lam (Topkis, "Minimizing a submodular function on a
+lattice", Oper. Res. 1978): each sweep searches only the band between the
+profiles of the nearest swept multipliers on either side, and its cost
+scales with that band's area rather than with the lattice.  The objective
+is not concave, so the best profile within budget may sit below the dual
+bound by a duality gap.
 """
 
 from __future__ import annotations
@@ -168,12 +175,22 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     losses = np.asarray(u_minus(np.maximum(-levels, 0.0)), dtype=float)
     payoff = np.outer(grid.gain_weights, gains) - np.outer(grid.loss_weights, losses)
     best = (-math.inf, None)
+    floor = np.zeros(n_cells, dtype=np.intp)
+    ceiling = np.full(n_cells, levels.size - 1, dtype=np.intp)
+    profiles = {}  # level indices of the profile of each swept multiplier
 
     def sweep(lam):
         nonlocal best
-        g = np.outer(grid.state_prices, -lam * levels)
-        g += payoff  # in place: one cell-by-level array per sweep
-        top, idx = _sweep(g)
+        # the nearest larger multiplier's profile bounds this one from below,
+        # the nearest smaller one's from above.  Each profile lies in its own
+        # band, so the swept profiles stay ordered and every band is whole,
+        # rounding or not, whatever order the multipliers come in
+        above = min((m for m in profiles if m >= lam), default=None)
+        below = max((m for m in profiles if m <= lam), default=None)
+        lower = floor if above is None else profiles[above]
+        upper = ceiling if below is None else profiles[below]
+        top, idx = _sweep(payoff, grid.state_prices, -lam * levels, lower, upper)
+        profiles[lam] = idx
         diag.iterates += 1
         diag.bound = min(diag.bound, top + lam * x0)
         q = levels[idx]
@@ -255,22 +272,41 @@ def _lattice(x0, q_min, q_max):
     return np.unique(np.clip(np.concatenate((-side, [0.0], side, ends)), q_min, q_max))
 
 
-def _sweep(g):
-    """Best non-decreasing path through ``g[cell, level]``: (its sum, level indices).
+def _sweep(payoff, prices, neg_levels, lo, hi):
+    """Best non-decreasing path through g[i, l] = prices[i] neg_levels[l] +
+    payoff[i, l] with cell i's level index in ``[lo[i], hi[i]]``: (its sum,
+    level indices).
 
-    Overwrites row i of ``g`` with V_i, the best sum of a path ending at each
-    level of cell i; the path is traced back through those rows.
+    ``lo`` and ``hi`` are non-decreasing with ``lo <= hi``.  Row i is built
+    over its band only and holds the running prefix max of V_i, the best sum
+    of a path ending at each level; a running max keeps the first argmax of
+    every prefix, so the traceback, taking the first argmax, returns the
+    least maximiser (the cellwise minimum of all best paths).
     """
-    n = g.shape[0]
-    run = np.empty(g.shape[1])
-    for i in range(1, n):
-        np.maximum.accumulate(g[i - 1], out=run)
-        g[i] += run
-    idx = np.empty(n, dtype=np.intp)
-    idx[-1] = np.argmax(g[-1])
-    for i in range(n - 1, 0, -1):
-        idx[i - 1] = np.argmax(g[i - 1, : idx[i] + 1])
-    return float(g[-1, idx[-1]]), idx
+    lo, hi = lo.tolist(), (hi + 1).tolist()
+    rows = []
+    for i, (a, b, price) in enumerate(zip(lo, hi, prices.tolist())):
+        row = price * neg_levels[a:b]
+        row += payoff[i, a:b]
+        if i:
+            # the levels up to the previous band's top add its running max
+            # there, the levels above add its overall max
+            prev, a0 = rows[-1], lo[i - 1]
+            k = min(b, hi[i - 1]) - a
+            if k > 0:
+                row[:k] += prev[a - a0: a - a0 + k]
+            if k < b - a:
+                row[max(k, 0):] += prev[-1]
+        np.maximum.accumulate(row, out=row)
+        rows.append(row)
+    idx = np.empty(len(rows), dtype=np.intp)
+    j = lo[-1] + int(rows[-1].argmax())
+    idx[-1] = j
+    for i in range(len(rows) - 1, 0, -1):
+        k = min(j + 1, hi[i - 1]) - lo[i - 1]
+        j = lo[i - 1] + (int(rows[i - 1][:k].argmax()) if k > 1 else 0)
+        idx[i - 1] = j
+    return float(rows[-1][-1]), idx
 
 
 def _raise_from_top(q, prices, slack, q_max):

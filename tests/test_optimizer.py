@@ -96,14 +96,54 @@ def test_grid_value_matches_cpt_value(lognormal, prefs, q):
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def full_band(n_cells, n_levels):
+    return np.zeros(n_cells, dtype=np.intp), np.full(n_cells, n_levels - 1, dtype=np.intp)
+
+
 def test_sweep_matches_enumeration(rng):
+    unpriced = (np.zeros(4), np.zeros(6), *full_band(4, 6))
     for _ in range(20):
         g = rng.normal(size=(4, 6))
         best = max(combinations_with_replacement(range(6), 4),
                    key=lambda idx: sum(g[i, l] for i, l in enumerate(idx)))
-        top, idx = _sweep(g.copy())
+        top, idx = _sweep(g, *unpriced)
         assert list(idx) == list(best)
         assert abs(top - sum(g[i, l] for i, l in enumerate(best))) < 1e-12
+    # integer payoffs tie: the path is the cellwise minimum of all maximisers,
+    # the least maximiser the band relies on
+    for _ in range(40):
+        g = rng.integers(-2, 3, size=(4, 6)).astype(float)
+        paths = list(combinations_with_replacement(range(6), 4))
+        sums = [sum(g[i, l] for i, l in enumerate(idx)) for idx in paths]
+        least = np.min([idx for idx, v in zip(paths, sums) if v == max(sums)], axis=0)
+        top, idx = _sweep(g, *unpriced)
+        assert list(idx) == list(least)
+        assert top == max(sums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_cells=st.integers(1, 6), n_levels=st.integers(1, 8))
+def test_band_sweep_matches_full_band(data, n_cells, n_levels):
+    # integer payoffs, prices, levels and multipliers: every sum is exact,
+    # and ties are common.  The least maximiser is non-increasing in lam
+    # (Topkis), so the band between the profiles at lam3 and lam1 holds the
+    # profile at lam2.
+    ints = st.integers(-3, 3)
+    payoff = np.array(data.draw(st.lists(st.lists(ints, min_size=n_levels, max_size=n_levels),
+                                         min_size=n_cells, max_size=n_cells)), dtype=float)
+    prices = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n_cells,
+                                         max_size=n_cells)), dtype=float)
+    levels = np.array(sorted(data.draw(st.sets(st.integers(-6, 6), min_size=n_levels,
+                                               max_size=n_levels))), dtype=float)
+    lam1, lam2, lam3 = sorted(data.draw(st.sets(st.integers(0, 4), min_size=3, max_size=3)))
+    band = full_band(n_cells, n_levels)
+    _, upper = _sweep(payoff, prices, -lam1 * levels, *band)
+    _, lower = _sweep(payoff, prices, -lam3 * levels, *band)
+    assert np.all(lower <= upper)
+    want_top, want = _sweep(payoff, prices, -lam2 * levels, *band)
+    top, idx = _sweep(payoff, prices, -lam2 * levels, lower, upper)
+    np.testing.assert_array_equal(idx, want)
+    assert top == want_top
 
 
 def test_monotone_profile_required(lognormal):
@@ -201,6 +241,36 @@ def bisection_search(sweep):
     return lo, hi
 
 
+def dense_sweep(payoff, prices, neg_levels, lo, hi):
+    """Reference sweep: the whole cell-by-level array, whatever the band."""
+    g = np.outer(prices, neg_levels) + payoff
+    n = g.shape[0]
+    for i in range(1, n):
+        g[i] += np.maximum.accumulate(g[i - 1])
+    idx = np.empty(n, dtype=np.intp)
+    idx[-1] = np.argmax(g[-1])
+    for i in range(n - 1, 0, -1):
+        idx[i - 1] = np.argmax(g[i - 1, : idx[i] + 1])
+    return float(g[-1, idx[-1]]), idx
+
+
+def test_band_sweeps_match_dense_sweeps(lognormal, monkeypatch):
+    # the band between the neighbouring multipliers' profiles loses nothing:
+    # the dense sweep gives the same answer and the same certificate
+    cases = [(lognormal, OPT_PREFS, 1.0, 256, SolveOptions(delta=0.5))]
+    cases += [(kern, prefs, x0, 5, SolveOptions(q_min=-1.0, q_max=3.0))
+              for kern, prefs, x0 in oracle_instances()]
+    for kern, prefs, x0, n_cells, opts in cases:
+        port, diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_sweep", dense_sweep)
+            ref, ref_diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        np.testing.assert_array_equal(port.q, ref.q)
+        assert diag.bound == ref_diag.bound
+        assert diag.iterates == ref_diag.iterates
+        assert diag.converged == ref_diag.converged
+
+
 def test_crossing_search_matches_bisection(lognormal, monkeypatch):
     # the cutting-plane search returns the profile the bisection returned
     cases = [(lognormal, OPT_PREFS, 1.0, 256, SolveOptions())]
@@ -227,8 +297,10 @@ def test_bound_is_dual_minimum(lognormal):
     payoff = (np.outer(grid.gain_weights, U_EXP(np.maximum(levels, 0.0)))
               - np.outer(grid.loss_weights, U_POW2(np.maximum(-levels, 0.0))))
 
+    band = full_band(n_cells, levels.size)
+
     def dual(lam):
-        return _sweep(payoff - np.outer(grid.state_prices, lam * levels))[0] + lam * x0
+        return _sweep(payoff, grid.state_prices, -lam * levels, *band)[0] + lam * x0
 
     lams = np.geomspace(1e-4, 1e3, 200)
     duals = np.array([dual(lam) for lam in lams])
