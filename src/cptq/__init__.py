@@ -57,6 +57,8 @@ from .attainability import (
     liminf_condition,
     loss_moment_bound,
     power_tail_bound,
+    regime,
+    tightness_report,
 )
 from .constructions import (
     NonattainabilityReport,
@@ -71,5 +73,4 @@ from .optimizer import (
     SolveOptions,
     lattice_oracle,
     solve,
-    tightness_report,
 )

@@ -7,7 +7,8 @@ growth of the loss utility u_minus:
 * necessary:  liminf_{x -> 0+} w_minus(x) * u_minus(1/x) > 0,
 * for the associated family w_delta the threshold is delta <= 1, and
 * delta < 1 is sufficient when u_minus satisfies a growth-regularity
-  condition tied to asymptotic elasticity.
+  condition tied to asymptotic elasticity, and so is any w_minus >= w_delta;
+  ``regime`` combines these into the one verdict the commands print.
 
 A limit cannot be decided by finitely many probes, so every checker returns
 a ConditionVerdict carrying the decision rule's evidence; `yes`/`no`
@@ -48,6 +49,7 @@ class ConditionVerdict:
     evidence: list = field(default_factory=list)
     parameters_found: dict | None = None
     detail: str = ""
+    parts: dict = field(default_factory=dict)  # verdicts this one rests on; not in as_dict
 
     def __post_init__(self):
         if self.holds not in ("yes", "no", "inconclusive"):
@@ -194,22 +196,14 @@ def check_growth_condition(u_minus, delta):
         if best_evidence is None:
             best_evidence = evidence
     if best_evidence is None:
-        return ConditionVerdict(
-            name="loss_growth_condition", holds="inconclusive", evidence=[],
-            parameters_found={"delta": delta},
-            detail="transform not evaluable on enough of the probe grid",
-        )
-    if decisive_fail and all(decisive_fail):
-        return ConditionVerdict(
-            name="loss_growth_condition", holds="no", evidence=best_evidence,
-            parameters_found={"delta": delta},
-            detail="difference decays for every stretch factor on the ladder",
-        )
-    return ConditionVerdict(
-        name="loss_growth_condition", holds="inconclusive", evidence=best_evidence,
-        parameters_found={"delta": delta},
-        detail="growth too slow to certify at the probe horizon",
-    )
+        holds, detail = "inconclusive", "transform not evaluable on enough of the probe grid"
+    elif all(decisive_fail):
+        holds, detail = "no", "difference decays for every stretch factor on the ladder"
+    else:
+        holds, detail = "inconclusive", "growth too slow to certify at the probe horizon"
+    return ConditionVerdict(name="loss_growth_condition", holds=holds,
+                            evidence=best_evidence or [], parameters_found={"delta": delta},
+                            detail=detail)
 
 
 def _z_difference(utility, delta, sigma, xs):
@@ -291,7 +285,8 @@ def check_delta_threshold(u_minus, delta):
     threshold: above 1 the problem has no optimum, below 1 it does whenever
     the growth-regularity condition holds.
 
-    `holds` answers "is attainability still possible at this delta".
+    `holds` answers "is attainability still possible at this delta"; below
+    1, ``parts`` holds the growth verdict it rests on.
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
@@ -304,47 +299,72 @@ def check_delta_threshold(u_minus, delta):
             detail="loss utility bounded above: supremum cannot be attained",
         )
     # probe the associated product u(1/x)^(1-delta) like the liminf check
-    w_delta = AssociatedDistortion(u_minus, delta)
-    probe = liminf_condition(w_delta, u_minus)
+    probe = liminf_condition(AssociatedDistortion(u_minus, delta), u_minus)
+    sublinear = u_minus.kind in _SUBLINEAR_KINDS or (
+        u_minus.kind == "power" and getattr(u_minus, "alpha", 1.0) < 1.0)
+    params, parts = {"delta": delta}, {}
     if not probe.evidence:  # not evaluable at the probes: no verdict can cite them
-        return ConditionVerdict(
-            name="delta_threshold", holds="inconclusive",
-            parameters_found={"delta": delta}, detail=probe.detail,
-        )
-    if delta > 1.0:
-        return ConditionVerdict(
-            name="delta_threshold", holds="no", evidence=probe.evidence,
-            parameters_found={"delta": delta},
-            detail="delta above 1: associated distortion vanishes too fast",
-        )
-    if delta == 1.0:
-        if u_minus.kind in _SUBLINEAR_KINDS or (
-            u_minus.kind == "power" and getattr(u_minus, "alpha", 1.0) < 1.0
-        ):
-            return ConditionVerdict(
-                name="delta_threshold", holds="no", evidence=probe.evidence,
-                parameters_found={"delta": delta},
-                detail="boundary delta = 1 with sub-linear loss growth: no optimum",
-            )
-        return ConditionVerdict(
-            name="delta_threshold", holds="inconclusive", evidence=probe.evidence,
-            parameters_found={"delta": delta},
-            detail="boundary delta = 1: decision depends on finer structure",
-        )
-    growth = check_growth_condition(u_minus, delta)
-    params = {"delta": delta, "growth_condition": growth.holds}
-    if growth.parameters_found:
+        holds, detail = "inconclusive", probe.detail
+    elif delta > 1.0:
+        holds, detail = "no", "delta above 1: associated distortion vanishes too fast"
+    elif delta == 1.0 and sublinear:
+        holds, detail = "no", "boundary delta = 1 with sub-linear loss growth: no optimum"
+    elif delta == 1.0:
+        holds, detail = "inconclusive", "boundary delta = 1: decision depends on finer structure"
+    else:
+        growth = parts["loss_growth_condition"] = check_growth_condition(u_minus, delta)
+        holds = params["growth_condition"] = growth.holds
         params.update({k: v for k, v in growth.parameters_found.items() if k != "delta"})
+        detail = ("delta below 1 and growth condition verified: optimum exists"
+                  if holds == "yes" else f"delta below 1 but growth condition verdict is '{holds}'")
+    return ConditionVerdict(name="delta_threshold", holds=holds, evidence=probe.evidence,
+                            parameters_found=params, detail=detail, parts=parts)
+
+
+DOMINANCE_TOL = 1e-9  # log-margin by which w_minus may fall short of w_delta
+
+
+def regime(u_minus, w_minus, delta=None):
+    """The paper's attainability verdict for the loss side.
+
+    'no' when the necessary loss liminf condition fails; 'yes' when the
+    sufficient pair holds: check_delta_threshold says 'yes' (delta < 1 and
+    the growth condition) and w_minus >= w_delta at log-spaced probes down
+    to the liminf grid's 10^-LIMINF_PROBES; 'inconclusive' otherwise.
+    ``delta`` defaults to w_minus's own when it is u_minus's associated
+    distortion.  ``parts`` holds every verdict evaluated, by name.
+    """
+    parts = {"loss_liminf": liminf_condition(w_minus, u_minus)}
+    if delta is None and isinstance(w_minus, AssociatedDistortion) and w_minus.utility is u_minus:
+        delta = w_minus.delta
+    if delta is not None:
+        threshold = parts["delta_threshold"] = check_delta_threshold(u_minus, delta)
+        parts.update(threshold.parts)
+        if threshold.holds == "yes":  # so u_minus is unbounded and delta < 1
+            parts["loss_dominance"] = _dominance(w_minus, AssociatedDistortion(u_minus, delta))
+    found = {name: part.holds for name, part in parts.items()}
+    holds = ("no" if found["loss_liminf"] == "no" else
+             "yes" if found.get("loss_dominance") == "yes" else "inconclusive")
+    detail = ", ".join(f"{name} {verdict}" for name, verdict in found.items())
     return ConditionVerdict(
-        name="delta_threshold",
-        holds=growth.holds,
-        evidence=probe.evidence,
-        parameters_found=params,
-        detail=(
-            "delta below 1 and growth condition verified: optimum exists"
-            if growth.holds == "yes"
-            else f"delta below 1 but growth condition verdict is '{growth.holds}'"
-        ),
+        name="attainability", holds=holds,
+        evidence=parts["loss_dominance" if holds == "yes" else "loss_liminf"].evidence,
+        parameters_found={"delta": delta, **found}, parts=parts,
+        detail=detail if delta is not None else f"{detail}, no delta to compare w_minus with",
+    )
+
+
+def _dominance(w_minus, w_delta):
+    """w_minus >= w_delta at log-spaced probes down to the liminf grid's
+    smallest x; the evidence is the log-margin at each probe."""
+    ps = np.geomspace(10.0 ** -LIMINF_PROBES, 1.0, 2 * LIMINF_PROBES + 1)
+    margin = np.asarray(w_minus.log_eval(ps)) - np.asarray(w_delta.log_eval(ps))
+    low = int(np.argmin(margin))
+    holds = "yes" if margin[low] >= -DOMINANCE_TOL else "no"
+    return ConditionVerdict(
+        name="loss_dominance", holds=holds,
+        evidence=[[float(p), float(m)] for p, m in zip(ps, margin)],
+        detail=f"least log-margin of w_minus over w_delta: {margin[low]:.3g} at p = {ps[low]:.3g}",
     )
 
 
@@ -533,3 +553,29 @@ def loss_moment_bound(law, u_minus, delta, eta, zeta, threshold_fn):
     denom = u_minus.inverse(v_delta ** (-1.0 / delta))
     rhs = c_const + g_val ** eta / denom
     return float(lhs), float(rhs)
+
+
+def tightness_report(diag, u_minus, delta, eta, zeta, threshold_fn):
+    """Check each solver snapshot in ``diag`` against the loss-moment bound.
+
+    Returns a dict with the per-snapshot margins and the worst case; zero
+    violations is the numerical signature that the minimizing sequence keeps
+    its loss mass uniformly tight.
+    """
+    rows = []
+    violations = 0
+    max_moment = 0.0
+    for it, q in diag.snapshots:
+        losses = np.maximum(-np.asarray(q, dtype=float), 0.0)
+        n = losses.size
+        law = DiscreteLaw(losses, np.full(n, 1.0 / n))
+        lhs, rhs = loss_moment_bound(law, u_minus, delta, eta, zeta, threshold_fn)
+        rows.append({"iterate": it, "moment": lhs, "bound": rhs, "margin": rhs - lhs})
+        violations += lhs > rhs + 1e-9
+        max_moment = max(max_moment, lhs)
+    return {
+        "eta": eta,
+        "snapshots": rows,
+        "violations": int(violations),
+        "max_neg_moment": max_moment,
+    }

@@ -22,9 +22,12 @@ replaced by double underscores (CPTQ_KERNEL__SIGMA=0.3).  A key that no
 command reads, in the file or the environment, is a configuration error,
 except ``optimize.n_starts`` and ``optimize.max_iter``: the knobs of an
 earlier restarted search, still accepted and ignored so that configs
-written for it load.
+written for it load.  A numeric key holding text, or a count or strength
+out of range, is a configuration error that names the key.
 Every output file starts with a comment block echoing the resolved
-configuration, so runs are reproducible byte for byte.
+configuration, so runs are reproducible byte for byte.  ``check``,
+``demo-nonattain`` and ``optimize`` each print one ``attainability:`` line,
+the verdict of ``attainability.regime``.
 
 Exit codes: 0 success (a "not attainable" finding is a successful run),
 2 configuration error, 3 computation error.
@@ -48,9 +51,6 @@ from .errors import AssociationError, ConfigError, DomainError
 
 ENV_PREFIX = "CPTQ_"
 
-_BOOL = {"true": True, "false": False, "yes": True, "no": False}
-
-
 def parse_config_text(text):
     cfg = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -67,21 +67,12 @@ def parse_config_text(text):
 
 
 def _coerce(token):
-    low = token.lower()
-    if low in _BOOL:
-        return _BOOL[low]
-    if low == "inf":
-        return math.inf
-    if low == "-inf":
-        return -math.inf
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
+    """``token`` as an int, else as a float (inf included), else as text."""
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
     return token
 
 
@@ -136,6 +127,22 @@ def _require(cfg, key):
     return cfg[key]
 
 
+_REQUIRED = object()
+
+
+def _number(cfg, key, default=_REQUIRED, integer=False, positive=False):
+    """The number at ``key``, ``default`` when the key is absent; a value of
+    the wrong type or sign is a config error that names the key."""
+    if default is not _REQUIRED and key not in cfg:
+        return default
+    value = _require(cfg, key)
+    if not isinstance(value, int if integer else (int, float)) or math.isnan(value):
+        raise ConfigError(f"{key} = {value!r}: expected {'an integer' if integer else 'a number'}")
+    if positive and not value > 0:
+        raise ConfigError(f"{key} = {value!r}: must be positive")
+    return value if integer else float(value)
+
+
 def _load_path(cfg, key, loader):
     """``loader`` applied to the file at ``key``; a bad file is a config error."""
     path = str(_require(cfg, key))
@@ -148,7 +155,7 @@ def _load_path(cfg, key, loader):
 def build_kernel(cfg):
     model = _require(cfg, "kernel.model")
     if model == "lognormal":
-        return market.LognormalKernel(float(_require(cfg, "kernel.sigma")))
+        return market.LognormalKernel(_number(cfg, "kernel.sigma"))
     if model == "custom_quantile":
         return _load_path(cfg, "kernel.path", market.TableKernel.from_csv)
     raise ConfigError(f"unknown kernel.model '{model}'")
@@ -174,7 +181,7 @@ def build_distortion(cfg, side, u_minus=None):
                               "utility, not utility.minus.kind = custom")
         try:
             return functions.AssociatedDistortion(
-                u_minus, float(_require(cfg, f"{prefix}.delta"))
+                u_minus, _number(cfg, f"{prefix}.delta", positive=True)
             )
         except AssociationError as exc:
             raise ConfigError(f"{prefix}.kind = associated: {exc}") from exc
@@ -188,7 +195,7 @@ def _from_registry(cfg, prefix, kind, kinds):
     if kind not in kinds:
         raise ConfigError(f"unknown {prefix}.kind '{kind}'")
     cls = kinds[kind]
-    return cls(*(float(_require(cfg, f"{prefix}.{name}")) for name in cls.params))
+    return cls(*(_number(cfg, f"{prefix}.{name}") for name in cls.params))
 
 
 def build_preferences(cfg):
@@ -240,27 +247,25 @@ def cmd_value(cfg, out_dir, seed):
 def cmd_check(cfg, out_dir, seed):
     kernel = build_kernel(cfg)
     u_plus, u_minus, w_plus, w_minus = build_preferences(cfg)
-    orders = cfg.get("check.moment_orders", "1,2,4,8,16")
-    if isinstance(orders, str):
-        orders = tuple(float(tok) for tok in orders.split(","))
-    else:
-        orders = (float(orders),)
+    key = "check.moment_orders"  # comma-separated numbers
+    orders = tuple(_number({key: _coerce(tok)}, key)
+                   for tok in str(cfg.get(key, "1,2,4,8,16")).split(","))
+    verdict = attn.regime(u_minus, w_minus, _number(cfg, "check.delta", None, positive=True))
     report = {
         "library_version": __version__,
         "config": {k: cfg[k] for k in sorted(cfg)},
         "kernel_assumptions": market.check_assumptions(kernel, moment_orders=orders).as_dict(),
-        "loss_liminf": attn.liminf_condition(w_minus, u_minus).as_dict(),
+        "attainability": verdict.as_dict(),
     }
-    delta = cfg.get("check.delta")
-    if delta is None and isinstance(w_minus, functions.AssociatedDistortion):
-        delta = w_minus.delta
-    if delta is not None:
-        report["delta_threshold"] = attn.check_delta_threshold(u_minus, float(delta)).as_dict()
+    report.update((name, part.as_dict()) for name, part in verdict.parts.items()
+                  if name != "loss_dominance")
     if math.isinf(u_minus.saturation):
-        growth_delta = float(delta) if delta is not None and 0 < float(delta) < 1 else 0.5
-        report["loss_growth_condition"] = attn.check_growth_condition(
-            u_minus, growth_delta
-        ).as_dict()
+        if "loss_growth_condition" not in report:
+            # regime evaluates growth only below delta = 1; report it at 0.5 otherwise
+            delta = verdict.parameters_found["delta"]
+            report["loss_growth_condition"] = attn.check_growth_condition(
+                u_minus, delta if delta is not None and delta < 1 else 0.5
+            ).as_dict()
         z = functions.z_transform(u_minus)
         try:
             report["elasticity"] = {
@@ -271,10 +276,10 @@ def cmd_check(cfg, out_dir, seed):
             report["elasticity"] = {"error": str(exc)}
     path = os.path.join(out_dir, "check_report.json")
     _write_json(path, report)
-    attainable = report.get("delta_threshold", report["loss_liminf"])["holds"]
     print(f"loss_liminf: {report['loss_liminf']['holds']}")
     if "delta_threshold" in report:
         print(f"delta_threshold: {report['delta_threshold']['holds']}")
+    print(f"attainability: {verdict.holds} ({verdict.detail})")
     print(f"kernel assumptions satisfied: {report['kernel_assumptions']['all_satisfied']}")
     print(f"wrote {path}")
     return 0
@@ -283,9 +288,9 @@ def cmd_check(cfg, out_dir, seed):
 def cmd_demo_nonattain(cfg, out_dir, seed):
     kernel = build_kernel(cfg)
     u_plus, u_minus, w_plus, w_minus = build_preferences(cfg)
-    x0 = float(_require(cfg, "x0"))
-    n_max = int(cfg.get("demo.n_max", 32))
-    gap_tol = float(cfg.get("demo.gap_tol", constructions.DEFAULT_GAP_TOL))
+    x0 = _number(cfg, "x0")
+    n_max = _number(cfg, "demo.n_max", 32, integer=True, positive=True)
+    gap_tol = _number(cfg, "demo.gap_tol", constructions.DEFAULT_GAP_TOL, positive=True)
     report = constructions.demonstrate_nonattainability(
         kernel, u_plus, u_minus, w_plus, w_minus, x0, n_max=n_max, gap_tol=gap_tol
     )
@@ -296,6 +301,7 @@ def cmd_demo_nonattain(cfg, out_dir, seed):
     print(f"elements: {len(report.elements)}, skipped (level below capital bar): "
           f"{len(report.skipped)}")
     print(f"ceiling M = {report.ceiling}, final gap = {report.final_gap:.6g}")
+    print(f"attainability: {report.verdict.holds} ({report.verdict.detail})")
     print("non-attainability demonstrated" if report.nonattainability_demonstrated
           else f"gap still above {report.gap_tol} at n_max={n_max}")
     for note in report.notes:
@@ -308,14 +314,14 @@ def cmd_demo_nonattain(cfg, out_dir, seed):
 def cmd_optimize(cfg, out_dir, seed):
     kernel = build_kernel(cfg)
     u_plus, u_minus, w_plus, w_minus = build_preferences(cfg)
-    x0 = float(_require(cfg, "x0"))
-    delta = cfg.get("optimize.delta")
+    x0 = _number(cfg, "x0")
+    delta = _number(cfg, "optimize.delta", None, positive=True)
     opts = optimizer.SolveOptions(
-        q_min=float(cfg.get("optimize.q_min", -math.inf)),
-        q_max=float(cfg.get("optimize.q_max", math.inf)),
-        eta_moment=float(cfg.get("optimize.eta", 1.2)),
-        delta=float(delta) if delta is not None else None,
+        q_min=_number(cfg, "optimize.q_min", -math.inf),
+        q_max=_number(cfg, "optimize.q_max", math.inf),
+        eta_moment=_number(cfg, "optimize.eta", 1.2, positive=True),
     )
+    n_cells = _number(cfg, "optimize.n", 512, integer=True, positive=True)
     # the sweep's lattice spans the box; a table refuses arguments past its end
     for u, side, key, reach, need in ((u_minus, "minus", "optimize.q_min", -opts.q_min, ">= -"),
                                       (u_plus, "plus", "optimize.q_max", opts.q_max, "<= ")):
@@ -323,14 +329,15 @@ def cmd_optimize(cfg, out_dir, seed):
             end = float(u.xs[-1])
             raise ConfigError(f"utility.{side}.kind = custom is tabulated up to "
                               f"x = {end!r}: set {key} {need}{end!r}")
-    if opts.delta is not None and isinstance(u_minus, functions.TableUtility):
-        # the existence record evaluates the associated w_delta, i.e. u(1/p), down to tiny p
+    if delta is not None and isinstance(u_minus, functions.TableUtility):
+        # optimize.delta names u_minus's associated family w_delta, which
+        # distortion.*.kind = associated already refuses over a table
         raise ConfigError("optimize.delta needs a parametric loss utility, "
                           "not utility.minus.kind = custom")
-    n_cells = int(cfg.get("optimize.n", 512))
     portfolio, diag = optimizer.solve(
         kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=n_cells, opts=opts
     )
+    verdict = attn.regime(u_minus, w_minus, delta)
     header = config_header(cfg, seed)
     port_path = os.path.join(out_dir, "portfolio.csv")
     portfolio.to_csv(port_path, header_lines=header)
@@ -341,8 +348,7 @@ def cmd_optimize(cfg, out_dir, seed):
                               header)
     print(f"value = {portfolio.cpt.total!r}, cost = {portfolio.cost!r}, "
           f"converged = {diag.converged}, gap = {diag.gap!r}, box_binds = {diag.box_binds}")
-    if diag.existence is not None:
-        print(f"existence regime: {diag.existence}")
+    print(f"attainability: {verdict.holds} ({verdict.detail})")
     print(f"wrote {port_path}")
     print(f"wrote {diag_path}")
     return 0

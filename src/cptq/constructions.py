@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attainability import liminf_condition
+from .attainability import ConditionVerdict, regime
 from .choquet import DiscreteLaw, cpt_value
 from .errors import ConstructionError, LevelTooLowError
 from .functions import write_table_csv
@@ -175,6 +175,7 @@ class NonattainabilityReport:
     ceiling: float
     gap_tol: float
     x0: float
+    verdict: ConditionVerdict  # attainability 'no', the construction's premise
     elements: list = field(default_factory=list)
     skipped: list = field(default_factory=list)  # (n, a_n, b_n) below the capital bar
     notes: list = field(default_factory=list)
@@ -250,20 +251,21 @@ def demonstrate_nonattainability(kernel, u_plus, u_minus, w_plus, w_minus, x0,
                                  n_max=32, gap_tol=DEFAULT_GAP_TOL):
     """Run the construction up to ``n_max`` and report the climb to the ceiling.
 
-    Refuses configurations where the loss liminf condition does not fail:
-    there the vanishing levels need not exist and the construction proves
-    nothing.
+    Refuses configurations that ``attainability.regime`` does not find
+    unattainable: there the vanishing levels need not exist and the
+    construction proves nothing.
     """
     if math.isinf(u_plus.saturation):
         raise ConstructionError("demonstration needs a gain utility bounded above")
-    verdict = liminf_condition(w_minus, u_minus)
+    verdict = regime(u_minus, w_minus)
     if verdict.holds != "no":
         raise ConstructionError(
-            "loss liminf condition verdict is "
-            f"'{verdict.holds}' (need 'no'): the construction does not apply"
+            f"attainability verdict is '{verdict.holds}' (need 'no'): "
+            "the construction does not apply"
         )
 
-    report = NonattainabilityReport(ceiling=u_plus.saturation, gap_tol=gap_tol, x0=x0)
+    report = NonattainabilityReport(ceiling=u_plus.saturation, gap_tol=gap_tol, x0=x0,
+                                    verdict=verdict)
     a_prev = None
     for n in range(1, n_max + 1):
         level = find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)

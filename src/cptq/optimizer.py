@@ -34,10 +34,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .attainability import check_growth_condition
 from .choquet import CPTValue, DiscreteLaw
 from .errors import InfeasibleError, ParameterError
-from .functions import AssociatedDistortion, write_table_csv
+from .functions import write_table_csv
 
 FEAS_TOL = 1e-6
 GAP_RTOL = 1e-6
@@ -56,7 +55,6 @@ class SolveOptions:
     q_min: float = -math.inf
     q_max: float = math.inf
     eta_moment: float = 1.2
-    delta: float | None = None  # existence-regime bookkeeping when provided
 
 
 @dataclass
@@ -76,7 +74,6 @@ class SolveDiagnostics:
     neg_moment_trace: list = field(default_factory=list)
     restarts: int = 0
     converged: bool = False
-    existence: dict | None = None
     snapshots: list = field(default_factory=list)
     bound: float = math.inf
     gap: float = math.inf
@@ -153,12 +150,10 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     Returns ``(portfolio, diagnostics)``.  ``diagnostics.bound`` is the dual
     minimum over lattice profiles (see ``_multiplier_search``): it bounds
     every non-decreasing profile on the level lattice that costs at most
-    ``x0``; profiles off the lattice are not covered by it.  When
-    ``opts.delta`` is given the existence-regime conditions (loss distortion
-    dominating the associated threshold family, growth regularity of the
-    loss utility) are evaluated and recorded in the diagnostics; runs
-    outside the regime proceed, since watching the loss moments blow up is
-    exactly how non-existence shows.
+    ``x0``; profiles off the lattice are not covered by it.  The solver does
+    not ask whether an optimum exists (``attainability.regime`` does): runs
+    outside the existence regime proceed, since watching the loss moments
+    blow up is exactly how non-existence shows.
     """
     opts = opts or SolveOptions()
     if opts.q_min > opts.q_max:
@@ -167,8 +162,6 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     if opts.q_min * grid.total_price > x0 + FEAS_TOL:
         raise InfeasibleError("cheapest admissible profile already exceeds the budget")
     diag = SolveDiagnostics()
-    if opts.delta is not None:
-        diag.existence = _existence_record(u_minus, w_minus, opts.delta)
 
     levels = _lattice(x0, opts.q_min, opts.q_max)
     gains = np.asarray(u_plus(np.maximum(levels, 0.0)), dtype=float)
@@ -328,28 +321,6 @@ def _neg_moment(q, eta):
     return float(np.mean(np.maximum(-q, 0.0) ** eta))
 
 
-def _existence_record(u_minus, w_minus, delta):
-    """Grid check of the existence-regime hypotheses for bookkeeping."""
-    record = {"delta": delta}
-    if not math.isinf(u_minus.saturation):
-        record["dominates_threshold_family"] = False
-        record["growth_condition"] = "no"
-        record["in_regime"] = False
-        return record
-    w_delta = AssociatedDistortion(u_minus, delta)
-    ps = np.linspace(1e-9, 1.0, 513)
-    dominates = bool(np.all(np.asarray(w_minus(ps)) >= np.asarray(w_delta(ps)) - 1e-12))
-    record["dominates_threshold_family"] = dominates
-    if 0 < delta < 1:
-        growth = check_growth_condition(u_minus, delta)
-        record["growth_condition"] = growth.holds
-        record["in_regime"] = dominates and growth.holds == "yes"
-    else:
-        record["growth_condition"] = "not evaluated (delta outside (0,1))"
-        record["in_regime"] = False
-    return record
-
-
 def lattice_oracle(kernel, u_plus, u_minus, w_plus, w_minus, x0, levels, n_cells):
     """Exhaustive search over monotone profiles drawn from a level set.
 
@@ -371,31 +342,3 @@ def lattice_oracle(kernel, u_plus, u_minus, w_plus, w_minus, x0, levels, n_cells
     if best_q is None:
         raise InfeasibleError("no lattice profile satisfies the budget")
     return best_v, best_q
-
-
-def tightness_report(diag, u_minus, delta, eta, zeta, threshold_fn):
-    """Check every recorded iterate against the loss-moment control bound.
-
-    Returns a dict with the per-snapshot margins and the worst case; zero
-    violations is the numerical signature that the minimizing sequence keeps
-    its loss mass uniformly tight.
-    """
-    from .attainability import loss_moment_bound
-
-    rows = []
-    violations = 0
-    max_moment = 0.0
-    for it, q in diag.snapshots:
-        losses = np.maximum(-np.asarray(q, dtype=float), 0.0)
-        n = losses.size
-        law = DiscreteLaw(losses, np.full(n, 1.0 / n))
-        lhs, rhs = loss_moment_bound(law, u_minus, delta, eta, zeta, threshold_fn)
-        rows.append({"iterate": it, "moment": lhs, "bound": rhs, "margin": rhs - lhs})
-        violations += lhs > rhs + 1e-9
-        max_moment = max(max_moment, lhs)
-    return {
-        "eta": eta,
-        "snapshots": rows,
-        "violations": int(violations),
-        "max_neg_moment": max_moment,
-    }

@@ -131,6 +131,58 @@ def test_delta_boundary_superlinear_inconclusive():
 
 
 # ---------------------------------------------------------------------------
+# attainability regime
+
+REGIME_LOSSES = [F.PowerUtility(2.0), F.PowerUtility(0.5), F.LogUtility(),
+                 F.LogPowerUtility(1.0, 0.6)]
+
+
+@pytest.mark.parametrize("u", REGIME_LOSSES, ids=["power2", "power0.5", "log", "log_power"])
+@pytest.mark.parametrize("delta", [0.5, 0.9, 1.1, 1.5])
+def test_regime_of_associated_distortion(u, delta):
+    # the liminf decides above 1; below it the growth condition does, which
+    # the logarithmic loss grows too slowly to certify
+    verdict = attn.regime(u, F.AssociatedDistortion(u, delta))
+    parts = {name: part.holds for name, part in verdict.parts.items()}
+    if delta > 1.0:
+        expected = {"loss_liminf": "no", "delta_threshold": "no"}
+        assert verdict.holds == "no"
+    elif isinstance(u, F.LogUtility):
+        expected = {"loss_liminf": "yes", "delta_threshold": "inconclusive",
+                    "loss_growth_condition": "inconclusive"}
+        assert verdict.holds == "inconclusive"
+    else:
+        expected = dict.fromkeys(("loss_liminf", "delta_threshold", "loss_growth_condition",
+                                  "loss_dominance"), "yes")
+        assert verdict.holds == "yes"
+    assert parts == expected
+    assert verdict.parameters_found == {"delta": delta, **expected}
+
+
+def test_regime_needs_dominance():
+    # w_0.8 lies below w_0.5 near 0, so delta = 0.5 does not carry over to it
+    u = F.PowerUtility(2.0)
+    verdict = attn.regime(u, F.AssociatedDistortion(u, 0.8), delta=0.5)
+    assert verdict.holds == "inconclusive"
+    assert verdict.parts["delta_threshold"].holds == "yes"
+    assert verdict.parts["loss_dominance"].holds == "no"
+    assert verdict.detail.endswith("loss_dominance no")
+
+
+def test_regime_existence_instances():
+    u = F.PowerUtility(2.0)
+    assert attn.regime(u, F.AssociatedDistortion(u, 0.5), delta=0.5).holds == "yes"
+    assert attn.regime(u, F.AssociatedDistortion(u, 1.5), delta=1.5).holds == "no"
+
+
+def test_regime_without_delta_rests_on_the_liminf():
+    assert attn.regime(F.LogUtility(), F.PrelecDistortion(1.0, 0.5)).holds == "no"
+    verdict = attn.regime(F.PowerUtility(2.0), F.PowerDistortion(1.0))
+    assert verdict.holds == "inconclusive" and "no delta" in verdict.detail
+    assert set(verdict.parts) == {"loss_liminf"}
+
+
+# ---------------------------------------------------------------------------
 # growth condition
 
 
@@ -249,6 +301,12 @@ def test_liminf_associated_table_utility_inconclusive():
     # the probe is evaluated before the closed form, so a table still refuses
     verdict = attn.liminf_condition(F.AssociatedDistortion(TABLE_U, 1.5), TABLE_U)
     assert verdict.holds == "inconclusive" and verdict.evidence == []
+
+
+def test_regime_table_loss_utility_inconclusive():
+    verdict = attn.regime(TABLE_U, F.PowerDistortion(1.0), delta=0.5)
+    assert verdict.holds == "inconclusive"
+    assert verdict.parts["delta_threshold"].holds == "inconclusive"
 
 
 def test_pointwise_marks_refused_points_nan():

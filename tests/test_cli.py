@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from cptq import attainability as attn
 from cptq import cli, functions
 from cptq.errors import ConfigError
 
@@ -328,8 +329,8 @@ x0 = 1.0
 
 
 def test_optimize_delta_over_table_loss_utility_refused(tmp_path, capsys):
-    # the existence record evaluates the associated w_delta down to p = 1e-9,
-    # i.e. u(1e9), far past the table's last row at x = 4
+    # optimize.delta names u_minus's associated w_delta, which needs u(1/p)
+    # for every p in (0, 1], far past the table's last row at x = 4
     table = tmp_path / "u.csv"
     table.write_text("x,value\n0.0,0.0\n1.0,1.0\n2.0,1.5\n4.0,2.0\n")
     text = OPT_CFG.replace(
@@ -455,3 +456,50 @@ def test_diagnostics_last_row_is_returned_portfolio(tmp_path, capsys, seed):
     last = (tmp_path / "diagnostics.csv").read_text().splitlines()[-1].split(",")
     assert float(last[1]) == value
     assert float(last[2]) == float(np.mean(np.maximum(-q, 0.0) ** 1.2))
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("optimize", "optimize.n", "2.5"),
+    ("optimize", "optimize.n", "0"),
+    ("optimize", "optimize.eta", "abc"),
+    ("optimize", "optimize.delta", "-1"),
+    ("check", "check.moment_orders", "1,2,x"),
+    ("check", "check.delta", "abc"),
+    ("check", "check.delta", "0"),
+    ("demo-nonattain", "demo.n_max", "0"),
+])
+def test_malformed_number_is_config_error(tmp_path, capsys, command, key, value):
+    # the last line of a config wins, so this overrides any earlier value
+    text = {"optimize": OPT_CFG, "check": CHECK_CFG, "demo-nonattain": DEMO_CFG}[command]
+    cfg = _write(tmp_path, "n.cfg", text + f"{key} = {value}\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, holds", [("check", "check", "yes"),
+                                                  ("demo-nonattain", "demo_nonattain", "no"),
+                                                  ("optimize", "optimize", "yes")])
+def test_shipped_configs_print_one_attainability_line(tmp_path, capsys, command, name, holds):
+    config = pathlib.Path(__file__).parent.parent / "configs" / f"{name}.cfg"
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("attainability:")]
+    assert len(lines) == 1 and lines[0].startswith(f"attainability: {holds} (")
+
+
+def test_check_evaluates_growth_once(tmp_path, monkeypatch):
+    # the report's loss_growth_condition is the one behind delta_threshold
+    deltas = []
+    growth = attn.check_growth_condition
+
+    def counted(u_minus, delta):
+        deltas.append(delta)
+        return growth(u_minus, delta)
+
+    monkeypatch.setattr(attn, "check_growth_condition", counted)
+    cfg = _write(tmp_path, "a.cfg", OPT_CFG)
+    assert cli.main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert deltas == [0.5]
+    report = json.loads((tmp_path / "check_report.json").read_text())
+    assert report["attainability"]["holds"] == "yes"
+    assert report["loss_growth_condition"]["holds"] == "yes"

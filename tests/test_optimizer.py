@@ -23,7 +23,6 @@ from cptq.optimizer import (
     _sweep,
     lattice_oracle,
     solve,
-    tightness_report,
 )
 from conftest import registry_member
 
@@ -192,20 +191,6 @@ def test_solve_infeasible_box(lognormal):
         solve(lognormal, U_EXP, ID_U, IDENT, IDENT, 1.0, n_cells=8, opts=opts)
 
 
-def test_solve_records_existence_regime(lognormal):
-    u_minus = F.PowerUtility(2.0)
-    w_minus = F.AssociatedDistortion(u_minus, 0.5)
-    opts = SolveOptions(delta=0.5)
-    _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
-                    n_cells=16, opts=opts)
-    assert diag.existence["in_regime"] is True
-    w_bad = F.AssociatedDistortion(u_minus, 1.5)
-    opts = SolveOptions(delta=1.5)
-    _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_bad, 1.0,
-                    n_cells=16, opts=opts)
-    assert diag.existence["in_regime"] is False
-
-
 def oracle_instances():
     """Ten five-state problems: (kernel, preferences, x0)."""
     rng = np.random.default_rng(2024)
@@ -257,7 +242,7 @@ def dense_sweep(payoff, prices, neg_levels, lo, hi):
 def test_band_sweeps_match_dense_sweeps(lognormal, monkeypatch):
     # the band between the neighbouring multipliers' profiles loses nothing:
     # the dense sweep gives the same answer and the same certificate
-    cases = [(lognormal, OPT_PREFS, 1.0, 256, SolveOptions(delta=0.5))]
+    cases = [(lognormal, OPT_PREFS, 1.0, 256, SolveOptions())]
     cases += [(kern, prefs, x0, 5, SolveOptions(q_min=-1.0, q_max=3.0))
               for kern, prefs, x0 in oracle_instances()]
     for kern, prefs, x0, n_cells, opts in cases:
@@ -351,11 +336,11 @@ def test_tightness_report_in_regime(lognormal):
     u_minus = F.PowerUtility(2.0)
     delta, zeta, eta = 0.5, 1.5, 1.2
     w_minus = F.AssociatedDistortion(u_minus, delta)
-    opts = SolveOptions(delta=delta, eta_moment=eta)
+    opts = SolveOptions(eta_moment=eta)
     _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                     n_cells=64, opts=opts)
     G = attn.g_function(u_minus, delta, zeta)
-    report = tightness_report(diag, u_minus, delta, eta, zeta, G)
+    report = attn.tightness_report(diag, u_minus, delta, eta, zeta, G)
     assert report["violations"] == 0
     assert len(report["snapshots"]) >= 1
     assert report["max_neg_moment"] < math.inf
@@ -366,7 +351,7 @@ def test_tightness_report_flags_nothing_for_constant():
     delta, zeta, eta = 0.5, 1.5, 1.2
     diag = SolveDiagnostics(snapshots=[(0, np.full(8, 1.0))])
     G = attn.g_function(u_minus, delta, zeta)
-    report = tightness_report(diag, u_minus, delta, eta, zeta, G)
+    report = attn.tightness_report(diag, u_minus, delta, eta, zeta, G)
     assert report["violations"] == 0
 
 
@@ -380,7 +365,7 @@ def test_threshold_contrast_across_resolution(lognormal):
         w_minus = F.AssociatedDistortion(u_minus, delta)
         out = []
         for n_cells in (256, 512, 1024):
-            opts = SolveOptions(eta_moment=1.2, delta=delta)
+            opts = SolveOptions(eta_moment=1.2)
             port, _ = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                             n_cells=n_cells, opts=opts)
             out.append(port.neg_moment(1.2))
@@ -393,20 +378,28 @@ def test_threshold_contrast_across_resolution(lognormal):
 
 
 def test_box_width_dichotomy(lognormal):
-    # above the threshold the profile sits on the box floor and widening the
-    # box deepens the loss and raises the value; below it the box never binds
+    # where no optimum is attained, widening the box deepens the loss and
+    # raises the value; where one exists, the value stops moving once the box
+    # clears the optimal profile
     u_minus = F.PowerUtility(2.0)
-    for delta in (0.5, 1.5):
+    for delta in (0.5, 0.9, 1.1, 1.5):
         w_minus = F.AssociatedDistortion(u_minus, delta)
         runs = [solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0, n_cells=256,
                       opts=SolveOptions(q_min=q_min)) for q_min in (-10.0, -40.0, -160.0)]
         values = [port.cpt.total for port, _ in runs]
         floors = [port.q[0] for port, _ in runs]
-        if delta > 1.0:
+        holds = attn.regime(u_minus, w_minus).holds
+        if holds == "no":
+            assert values[0] < values[1] < values[2]
+            assert floors[:2] == [-10.0, -40.0]
+        else:
+            assert holds == "yes"
+            assert not runs[-1][1].box_binds
+            assert abs(values[2] - values[1]) < 1e-9
+        if delta == 1.5:
             assert all(diag.box_binds for _, diag in runs)
             assert floors == [-10.0, -40.0, -160.0]
-            assert values[0] < values[1] < values[2]
-        else:
+        if delta == 0.5:
             assert not any(diag.box_binds for _, diag in runs)
             assert max(floors) - min(floors) < 1e-12 and floors[0] > -1.0
             assert max(values) - min(values) < 1e-9
