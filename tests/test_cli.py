@@ -106,6 +106,8 @@ def test_check_command_power_grid(tmp_path):
     assert report["loss_liminf"]["holds"] == "yes"
     assert report["delta_threshold"]["holds"] == "yes"
     assert report["kernel_assumptions"]["all_satisfied"] is True
+    assert all(m["E[rho^p]_converged"] and m["E[rho^-p]_converged"]
+               for m in report["kernel_assumptions"]["moments"])
     assert len(report["loss_liminf"]["evidence"]) >= 8
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import quad, tanhsinh
 
+from cptq import _quad
 from cptq import functions as F
 from cptq.choquet import DiscreteLaw, QuantileLaw
 from cptq.errors import DivergenceError, DomainError
@@ -86,16 +87,67 @@ def test_tail_expectation_tiny_eps_stable(lognormal):
     assert val >= lognormal.quantile_upper(eps) * eps
 
 
-def test_moments_lognormal(lognormal):
-    for p, tol in ((1, 1e-6), (2, 1e-6), (4, 1e-5), (8, 1e-4)):
-        est, finite = lognormal.moment(p)
-        cf = lognormal_moment(p)
-        assert finite
-        assert abs(est - cf) < tol * cf, (p, est, cf)
-        est_neg, finite_neg = lognormal.moment(-p)
-        cf_neg = lognormal_moment(-p)
-        assert finite_neg
-        assert abs(est_neg - cf_neg) < tol * cf_neg
+def test_moments_lognormal():
+    # |p| = 40 at sigma = 0.6 is e^280.8 and e^295.2: a double holds both
+    for sigma in (0.15, 0.3, 0.6):
+        k = LognormalKernel(sigma)
+        for p in (1, 2, 4, 8, 16, 40, -1, -2, -4, -8, -16, -40):
+            est, converged = k.moment(p)
+            cf = lognormal_moment(p, sigma)
+            assert converged, (sigma, p)
+            assert abs(est - cf) <= 1e-12 * cf, (sigma, p, est, cf)
+
+
+def test_lognormal_moment_cost(monkeypatch):
+    # the score map resolves the tails on the first grids: k <= 12 always
+    sizes = []
+    midpoints = _quad.cell_midpoints
+
+    def counted(k):
+        mids = midpoints(k)
+        sizes.append(mids.size)
+        return mids
+
+    monkeypatch.setattr(_quad, "cell_midpoints", counted)
+    for sigma in (0.15, 0.3, 0.6):
+        for p in (16, -16, 40, -40):
+            sizes.clear()
+            _, converged = LognormalKernel(sigma).moment(p)
+            assert converged
+            assert max(sizes) <= 1 << 12, (sigma, p, sizes)
+
+
+def _tanhsinh_table_moment(ps, qs, p):
+    # independent per-cell integral of the piecewise-linear quantile's power
+    total = 0.0
+    for x0, x1, a, b in zip(ps[:-1], ps[1:], qs[:-1], qs[1:]):
+        res = tanhsinh(lambda x: (a + (b - a) * (x - x0) / (x1 - x0)) ** p, x0, x1,
+                       rtol=1e-14)
+        assert res.success
+        total += float(res.integral)
+    return total
+
+
+def test_table_kernel_moment_matches_tanhsinh():
+    # rising, flat and near-flat cells, and one cell spanning two decades
+    ps = [0.0, 0.1, 0.35, 0.5, 0.7, 0.9, 1.0]
+    qs = [0.004, 0.4, 0.4, 0.4 * (1 + 1e-9), 1.1, 2.5, 9.0]
+    k = TableKernel(ps, qs)
+    for p in (1, 2, 3.5, 8, -1, -2, -0.5, -8, 0):
+        est, converged = k.moment(p)
+        ref = _tanhsinh_table_moment(ps, qs, p)
+        assert converged
+        assert abs(est - ref) <= 1e-12 * ref, (p, est, ref)
+
+
+def test_discrete_kernel_moment_exact():
+    values, probs = [0.3, 0.9, 1.2, 2.0], [0.1, 0.4, 0.3, 0.2]
+    k = DiscreteKernel(values, probs)
+    for p in (1, 2, 8, 16, -1, -8, -16):
+        est, converged = k.moment(p)
+        exact = sum(w * v ** p for v, w in zip(values, probs))
+        assert converged
+        assert abs(est - exact) <= 1e-14 * exact, (p, est, exact)
 
 
 def test_check_assumptions_lognormal(lognormal):
@@ -104,6 +156,21 @@ def test_check_assumptions_lognormal(lognormal):
     assert rep.unbounded_above == "yes"
     assert rep.all_satisfied
     assert len(rep.unbounded_evidence) >= 8
+
+
+def test_check_assumptions_reports_unconverged_moments(lognormal, monkeypatch):
+    # one grid and no refinement: every quadrature moment stops unconverged
+    monkeypatch.setattr(_quad, "K_MAX", _quad.K_MIN)
+    rep = check_assumptions(lognormal, moment_orders=(1, 2))
+    assert not rep.all_satisfied
+    for probe in rep.as_dict()["moments"]:
+        assert probe["E[rho^p]_converged"] is False
+        assert probe["E[rho^-p]_converged"] is False
+        assert probe["E[rho^p]_finite"] and probe["E[rho^-p]_finite"]
+    # exact kernel moments do not depend on the grid
+    k = TableKernel([0.0, 0.5, 1.0], [0.5, 1.0, 3.0])
+    assert all(m.positive_converged and m.negative_converged
+               for m in check_assumptions(k, moment_orders=(1, 2)).moments)
 
 
 def test_check_assumptions_bounded_table():
