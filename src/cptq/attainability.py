@@ -280,13 +280,15 @@ def growth_ratio_probe(u_minus, delta, xi):
     )
 
 
-def check_delta_threshold(u_minus, delta):
+def check_delta_threshold(u_minus, delta, probe=None):
     """Classify the association strength delta against the attainability
     threshold: above 1 the problem has no optimum, below 1 it does whenever
     the growth-regularity condition holds.
 
     `holds` answers "is attainability still possible at this delta"; below
-    1, ``parts`` holds the growth verdict it rests on.
+    1, ``parts`` holds the growth verdict it rests on.  ``probe`` is the
+    liminf verdict of u_minus's associated distortion at delta, when the
+    caller has one.
     """
     if delta <= 0:
         raise ParameterError("delta must be positive")
@@ -299,7 +301,8 @@ def check_delta_threshold(u_minus, delta):
             detail="loss utility bounded above: supremum cannot be attained",
         )
     # probe the associated product u(1/x)^(1-delta) like the liminf check
-    probe = liminf_condition(AssociatedDistortion(u_minus, delta), u_minus)
+    if probe is None:
+        probe = liminf_condition(AssociatedDistortion(u_minus, delta), u_minus)
     sublinear = u_minus.kind in _SUBLINEAR_KINDS or (
         u_minus.kind == "power" and getattr(u_minus, "alpha", 1.0) < 1.0)
     params, parts = {"delta": delta}, {}
@@ -335,10 +338,13 @@ def regime(u_minus, w_minus, delta=None):
     distortion.  ``parts`` holds every verdict evaluated, by name.
     """
     parts = {"loss_liminf": liminf_condition(w_minus, u_minus)}
-    if delta is None and isinstance(w_minus, AssociatedDistortion) and w_minus.utility is u_minus:
+    own = isinstance(w_minus, AssociatedDistortion) and w_minus.utility is u_minus
+    if delta is None and own:
         delta = w_minus.delta
     if delta is not None:
-        threshold = parts["delta_threshold"] = check_delta_threshold(u_minus, delta)
+        # when w_minus is w_delta itself, its liminf verdict is the threshold's probe
+        probe = parts["loss_liminf"] if own and w_minus.delta == delta else None
+        threshold = parts["delta_threshold"] = check_delta_threshold(u_minus, delta, probe)
         parts.update(threshold.parts)
         if threshold.holds == "yes":  # so u_minus is unbounded and delta < 1
             parts["loss_dominance"] = _dominance(w_minus, AssociatedDistortion(u_minus, delta))

@@ -24,6 +24,14 @@ profiles of the nearest swept multipliers on either side, and its cost
 scales with that band's area rather than with the lattice.  The objective
 is not concave, so the best profile within budget may sit below the dual
 bound by a duality gap.
+
+The dual minimiser barely moves with N, so a solve on many cells first
+solves on COARSE_CELLS cells over the same lattice and brackets lam by
+steps around the coarse minimiser instead of doubling up from 0.  In a
+sweep, a run of cells whose band is one level adds constants, summed in
+one pass; only cells with two or more levels cost numpy calls.  Since
+u(0) = 0, the payoff table is built from its halves: the gain term on the
+levels >= 0 and minus the loss term below.
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ LATTICE_SPAN = (1e-3, 1e4)
 LATTICE_SIDE = 1000
 CUT_RTOL = 1e-12  # a cut rising no higher above the bracket's lines ends the search
 MAX_CUTS = 50  # safety cap
+COARSE_CELLS = 32  # solves on at least 4x as many cells start from this size's multiplier
+WARM_STEP = 0.02  # first relative step from the coarse multiplier, then x4 per step
 
 
 @dataclass
@@ -61,12 +71,14 @@ class SolveOptions:
 class SolveDiagnostics:
     """Sweep trace and the certificate of the returned profile.
 
-    ``iterates`` counts the sweeps.  Each sweep within budget adds the running
-    best value and its E[(X^-)^eta] to the traces and its profile to
-    ``snapshots``; the traces' last entry is the returned profile.  ``gap`` is
-    ``bound - value`` (see ``solve``), negative when spending the budget slack
-    beat the bound.  ``box_binds``: the profile reaches the lowest or highest
-    lattice level.  ``restarts`` is always 0.
+    ``iterates`` counts the sweeps on the requested cells, not those of the
+    coarse solve that warm-starts the multiplier.  Each of them within budget
+    adds the running best value and its E[(X^-)^eta] to the traces and its
+    profile to ``snapshots``; the traces' last entry is the returned profile.
+    ``gap`` is ``bound - value`` (see ``solve``), negative when spending the
+    budget slack beat the bound; ``multiplier`` is the dual minimiser.
+    ``box_binds``: the profile reaches the lowest or highest lattice level.
+    ``restarts`` is always 0.
     """
 
     iterates: int = 0
@@ -77,6 +89,7 @@ class SolveDiagnostics:
     snapshots: list = field(default_factory=list)
     bound: float = math.inf
     gap: float = math.inf
+    multiplier: float = 0.0
     box_binds: bool = False
 
 
@@ -163,10 +176,15 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
         raise InfeasibleError("cheapest admissible profile already exceeds the budget")
     diag = SolveDiagnostics()
 
+    start = 0.0
+    if n_cells >= 4 * COARSE_CELLS:
+        start = solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, COARSE_CELLS, opts)[1].multiplier
     levels = _lattice(x0, opts.q_min, opts.q_max)
-    gains = np.asarray(u_plus(np.maximum(levels, 0.0)), dtype=float)
-    losses = np.asarray(u_minus(np.maximum(-levels, 0.0)), dtype=float)
-    payoff = np.outer(grid.gain_weights, gains) - np.outer(grid.loss_weights, losses)
+    zero = int(np.searchsorted(levels, 0.0))
+    payoff = np.empty((n_cells, levels.size))
+    np.multiply.outer(grid.gain_weights, u_plus(levels[zero:]), out=payoff[:, zero:])
+    losses = np.multiply.outer(grid.loss_weights, u_minus(-levels[:zero]), out=payoff[:, :zero])
+    np.subtract(0.0, losses, out=losses)
     best = (-math.inf, None)
     floor = np.zeros(n_cells, dtype=np.intp)
     ceiling = np.full(n_cells, levels.size - 1, dtype=np.intp)
@@ -198,7 +216,7 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
             diag.snapshots.append((diag.iterates, q))
         return _Swept(lam, q, cost, top + lam * cost, within)
 
-    lo, hi = _multiplier_search(sweep)
+    lo, hi = _multiplier_search(sweep, start)
 
     # spend the budget slack: raise the best profile from the top, or mix
     # the bracketing profiles so that the mix costs exactly x0
@@ -207,6 +225,8 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     if lo is not None:
         t = min((lo.cost - x0) / (lo.cost - hi.cost), 1.0)
         candidates.append((1.0 - t) * lo.q + t * hi.q)
+        cross = (lo.value - hi.value) / (lo.cost - hi.cost)
+        diag.multiplier = min(max(cross, lo.lam), hi.lam)
     q = max(candidates, key=grid.value)
     value = grid.value(q)
     diag.value_trace.append(value)
@@ -230,17 +250,24 @@ class _Swept(NamedTuple):
     within: bool
 
 
-def _multiplier_search(sweep):
+def _multiplier_search(sweep, start=0.0):
     """The bracketing sweeps ``(lo, hi)`` at the dual minimiser.
 
-    ``hi`` fits the budget and ``lo`` does not (None when lam = 0 fits).
-    After the doubling, each step sweeps where the Lagrangian lines value -
-    lam cost of ``lo`` and ``hi`` cross: a sweep that does not rise above
-    them shows both maximise the Lagrangian there, the dual minimiser.
+    ``hi`` fits the budget and ``lo`` does not (None when lam = 0 fits).  The
+    bracket comes from doubling up from lam = 0, or from steps start (1 -+ s)
+    away from a positive ``start``, s growing fourfold from WARM_STEP.  Then
+    each step sweeps where the Lagrangian lines value - lam cost of ``lo`` and
+    ``hi`` cross: a sweep that does not rise above them shows both maximise
+    the Lagrangian there, the dual minimiser.
     """
-    lo, hi = None, sweep(0.0)
+    lo, hi, step = None, sweep(start), WARM_STEP
+    while start and hi.within and lo is None and hi.lam > 0.0:
+        cut = sweep(max(start * (1.0 - step), 0.0))
+        step *= 4.0
+        lo, hi = (lo, cut) if cut.within else (cut, hi)
     while not hi.within:
-        lo, hi = hi, sweep(max(2.0 * hi.lam, 1.0))
+        lo, hi = hi, sweep(start * (1.0 + step) if start else max(2.0 * hi.lam, 1.0))
+        step *= 4.0
     for _ in range(MAX_CUTS if lo is not None else 0):
         lam = (lo.value - hi.value) / (lo.cost - hi.cost)
         if not lo.lam < lam < hi.lam:  # a floating-point tie at an end
@@ -274,32 +301,40 @@ def _sweep(payoff, prices, neg_levels, lo, hi):
     over its band only and holds the running prefix max of V_i, the best sum
     of a path ending at each level; a running max keeps the first argmax of
     every prefix, so the traceback, taking the first argmax, returns the
-    least maximiser (the cellwise minimum of all best paths).
+    least maximiser (the cellwise minimum of all best paths).  A cell whose
+    band is one level sits at or above the previous band's top (``hi`` is
+    non-decreasing), so it adds its g to the previous row's overall max: a
+    run of such cells is one sequential sum, with the same roundings.
     """
+    fixed = prices * neg_levels[lo] + payoff[np.arange(lo.size), lo]
+    n, wide = lo.size, np.flatnonzero(lo < hi).tolist()
     lo, hi = lo.tolist(), (hi + 1).tolist()
-    rows = []
-    for i, (a, b, price) in enumerate(zip(lo, hi, prices.tolist())):
-        row = price * neg_levels[a:b]
-        row += payoff[i, a:b]
+    rows, row, done = {}, None, 0
+    for i in wide + [n]:
+        if done < i:  # one-level cells done..i-1, at or above the band before
+            run = np.concatenate(([row[-1]], fixed[done:i])) if done else fixed[done:i]
+            row = np.add.accumulate(run)[-1:]
+        if i == n:
+            break
+        a, b = lo[i], hi[i]
+        new = prices[i] * neg_levels[a:b]
+        new += payoff[i, a:b]
         if i:
             # the levels up to the previous band's top add its running max
             # there, the levels above add its overall max
-            prev, a0 = rows[-1], lo[i - 1]
             k = min(b, hi[i - 1]) - a
             if k > 0:
-                row[:k] += prev[a - a0: a - a0 + k]
+                new[:k] += row[a - lo[i - 1]: a - lo[i - 1] + k]
             if k < b - a:
-                row[max(k, 0):] += prev[-1]
-        np.maximum.accumulate(row, out=row)
-        rows.append(row)
-    idx = np.empty(len(rows), dtype=np.intp)
-    j = lo[-1] + int(rows[-1].argmax())
-    idx[-1] = j
-    for i in range(len(rows) - 1, 0, -1):
-        k = min(j + 1, hi[i - 1]) - lo[i - 1]
-        j = lo[i - 1] + (int(rows[i - 1][:k].argmax()) if k > 1 else 0)
-        idx[i - 1] = j
-    return float(rows[-1][-1]), idx
+                new[max(k, 0):] += row[-1]
+        np.maximum.accumulate(new, out=new)
+        rows[i] = row = new
+        done = i + 1
+    idx = lo.copy()  # a one-level cell sits on its level
+    for i in reversed(wide):
+        k = (hi[i] if i == n - 1 else min(idx[i + 1] + 1, hi[i])) - lo[i]
+        idx[i] += int(rows[i][:k].argmax()) if k > 1 else 0
+    return float(row[-1]), np.array(idx, dtype=np.intp)
 
 
 def _raise_from_top(q, prices, slack, q_max):

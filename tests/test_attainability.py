@@ -1,9 +1,11 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from cptq import attainability as attn
+from cptq import cli
 from cptq import functions as F
 from cptq.choquet import DiscreteLaw
 from cptq.errors import DomainError, EvaluationError, ParameterError
@@ -180,6 +182,32 @@ def test_regime_without_delta_rests_on_the_liminf():
     verdict = attn.regime(F.PowerUtility(2.0), F.PowerDistortion(1.0))
     assert verdict.holds == "inconclusive" and "no delta" in verdict.detail
     assert set(verdict.parts) == {"loss_liminf"}
+
+
+@pytest.fixture
+def liminf_calls(monkeypatch):
+    """The distortions ``liminf_condition`` is called with, in order."""
+    calls = []
+    liminf = attn.liminf_condition
+    monkeypatch.setattr(attn, "liminf_condition", lambda w, v: calls.append(w) or liminf(w, v))
+    return calls
+
+
+@pytest.mark.parametrize("u", REGIME_LOSSES, ids=["power2", "power0.5", "log", "log_power"])
+@pytest.mark.parametrize("delta", [0.5, 1.0, 1.5])
+def test_regime_probes_own_associated_product_once(liminf_calls, u, delta):
+    # w_minus is w_delta itself: the threshold check takes the liminf verdict
+    # of the same product instead of probing it again, and says the same
+    verdict = attn.regime(u, F.AssociatedDistortion(u, delta), delta)
+    assert len(liminf_calls) == 1
+    alone = attn.check_delta_threshold(u, delta)
+    assert verdict.parts["delta_threshold"].as_dict() == alone.as_dict()
+
+
+def test_optimize_config_probes_liminf_once(liminf_calls, tmp_path):
+    config = pathlib.Path(__file__).parent.parent / "configs" / "optimize.cfg"
+    assert cli.main(["optimize", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert len(liminf_calls) == 1
 
 
 # ---------------------------------------------------------------------------

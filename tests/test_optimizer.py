@@ -145,6 +145,56 @@ def test_band_sweep_matches_full_band(data, n_cells, n_levels):
     assert top == want_top
 
 
+def reference_sweep(payoff, prices, neg_levels, lo, hi):
+    """Row-by-row band sweep that the folded one-level runs replaced."""
+    lo, hi = lo.tolist(), (hi + 1).tolist()
+    rows = []
+    for i, (a, b, price) in enumerate(zip(lo, hi, prices.tolist())):
+        row = price * neg_levels[a:b]
+        row += payoff[i, a:b]
+        if i:
+            prev, a0 = rows[-1], lo[i - 1]
+            k = min(b, hi[i - 1]) - a
+            if k > 0:
+                row[:k] += prev[a - a0: a - a0 + k]
+            if k < b - a:
+                row[max(k, 0):] += prev[-1]
+        np.maximum.accumulate(row, out=row)
+        rows.append(row)
+    idx = np.empty(len(rows), dtype=np.intp)
+    j = lo[-1] + int(rows[-1].argmax())
+    idx[-1] = j
+    for i in range(len(rows) - 1, 0, -1):
+        k = min(j + 1, hi[i - 1]) - lo[i - 1]
+        j = lo[i - 1] + (int(rows[i - 1][:k].argmax()) if k > 1 else 0)
+        idx[i - 1] = j
+    return float(rows[-1][-1]), idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n_cells=st.integers(1, 12), n_levels=st.integers(1, 6))
+def test_folded_sweep_matches_row_sweep(data, n_cells, n_levels):
+    # monotone bands where most cells have one level, in runs: the folded
+    # sums keep every rounding, and the traceback picks the same levels.
+    # Payoffs mix small integers (ties) with arbitrary floats
+    lo = np.sort(data.draw(st.lists(st.integers(0, n_levels - 1),
+                                    min_size=n_cells, max_size=n_cells)))
+    widths = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, n_levels]),
+                                min_size=n_cells, max_size=n_cells))
+    hi = np.minimum(np.maximum.accumulate(lo + widths), n_levels - 1)
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-5.0, 5.0))
+    payoff = np.array(data.draw(st.lists(value, min_size=n_cells * n_levels,
+                                         max_size=n_cells * n_levels))).reshape(n_cells, n_levels)
+    prices = np.array(data.draw(st.lists(st.floats(0.0, 2.0), min_size=n_cells,
+                                         max_size=n_cells)))
+    neg_levels = -np.sort(data.draw(st.lists(value, min_size=n_levels, max_size=n_levels)))
+    top, idx = _sweep(payoff, prices, neg_levels, lo, hi)
+    want_top, want = reference_sweep(payoff, prices, neg_levels, lo, hi)
+    np.testing.assert_array_equal(idx, want)
+    assert np.float64(top).tobytes() == np.float64(want_top).tobytes()
+
+
 def test_monotone_profile_required(lognormal):
     with pytest.raises(ParameterError):
         QuantilePortfolio(np.array([1.0, 0.5]), lognormal, U_EXP, ID_U, IDENT, IDENT)
@@ -212,8 +262,9 @@ def test_oracle_agreement_ten_instances():
         assert port.cpt.total >= best - 1e-6, (trial, port.cpt.total, best)
 
 
-def bisection_search(sweep):
-    """Reference multiplier search: doubling, then 50 bisection steps."""
+def bisection_search(sweep, start=0.0):
+    """Reference multiplier search: doubling, then 50 bisection steps;
+    ``start`` is ignored."""
     lo, hi = None, sweep(0.0)
     while not hi.within:
         lo, hi = hi, sweep(max(2.0 * hi.lam, 1.0))
@@ -296,11 +347,40 @@ def test_bound_is_dual_minimum(lognormal):
     assert diag.bound - 1e-12 <= found.fun <= diag.bound + 1e-9
 
 
-def test_crossing_search_sweep_count(lognormal):
-    # doubling plus a few exact cuts; the bisection took 52 sweeps
+def test_warm_start_matches_cold_search(lognormal, monkeypatch):
+    # starting the bracket from the coarse solve's multiplier changes which
+    # multipliers are swept, not the profile, the verdict or the bound
+    cases = [(kern, prefs, x0, 5, SolveOptions(q_min=-1.0, q_max=3.0))
+             for kern, prefs, x0 in oracle_instances()]
+    cases += [(lognormal, OPT_PREFS, 1.0, n_cells, SolveOptions()) for n_cells in (64, 256, 1024)]
+    for kern, prefs, x0, n_cells, opts in cases:
+        port, diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "COARSE_CELLS", math.inf)  # no coarse stage
+            ref, ref_diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        np.testing.assert_array_equal(port.q, ref.q)
+        assert diag.converged == ref_diag.converged
+        assert abs(diag.bound - ref_diag.bound) <= 1e-12 * max(1.0, abs(ref_diag.bound))
+
+
+def test_crossing_search_sweep_count(lognormal, monkeypatch):
+    # the coarse multiplier brackets lam in a few sweeps, then a few exact
+    # cuts; only the first sweep searches the whole lattice.  The cold
+    # doubling took 19 sweeps, five of them over 40% of the lattice, and the
+    # bisection 52
+    whole = []
+
+    def traced(payoff, prices, neg_levels, lo, hi):
+        if payoff.shape[0] == 256:  # the fine sweeps, not the coarse solve's
+            whole.append(lo.max() == 0 and hi.min() == payoff.shape[1] - 1)
+        return sweep(payoff, prices, neg_levels, lo, hi)
+
+    sweep = optimizer._sweep
+    monkeypatch.setattr(optimizer, "_sweep", traced)
     _, diag = solve(lognormal, *OPT_PREFS, 1.0, n_cells=256)
     assert diag.converged
-    assert diag.iterates <= 25
+    assert diag.iterates == len(whole) <= 14
+    assert sum(whole) <= 1
 
 
 def test_crossing_search_stops_on_tie():
