@@ -73,9 +73,13 @@ def _geometric_grid(max_points=41, cap=GRID_CAP):
 
 
 def _pointwise(fn, xs):
-    """``fn`` at each point of ``xs``; nan where it raises DomainError (a
-    utility may refuse arguments it cannot evaluate without declaring a
-    range)."""
+    """``fn`` at each point of ``xs``, in one call when it takes them all;
+    otherwise point by point, nan where it raises DomainError (a utility may
+    refuse arguments it cannot evaluate without declaring a range)."""
+    try:
+        return np.array(fn(np.asarray(xs, dtype=float)), dtype=float)
+    except DomainError:
+        pass
     out = np.full(len(xs), np.nan)
     for i, x in enumerate(xs):
         try:
@@ -480,7 +484,6 @@ class ThresholdFunction:
     def _margin(self, xs, lam):
         """Pointwise log-margin; nan (counts as failure) where not evaluable."""
         def margin(x):
-            x = float(x)
             return ((math.log(lam) + self.utility.log_eval(x)) / self.delta
                     - self.utility.log_eval(x ** self.zeta))
         return _pointwise(margin, xs)

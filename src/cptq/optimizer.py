@@ -20,10 +20,14 @@ The Lagrangian has increasing differences in (l, -lam) and the
 non-decreasing profiles form a sublattice, so the least best profile is
 non-increasing in lam (Topkis, "Minimizing a submodular function on a
 lattice", Oper. Res. 1978): each sweep searches only the band between the
-profiles of the nearest swept multipliers on either side, and its cost
-scales with that band's area rather than with the lattice.  The objective
-is not concave, so the best profile within budget may sit below the dual
-bound by a duality gap.
+profiles of the nearest swept multipliers on either side.  Before the
+forward pass, each cell's own best level in its band is found in one
+vectorized pass; where those levels are non-decreasing they are the least
+best profile (barring a tie in the rounded sums, which the pass detects),
+so the band collapses to one level per cell and the sweep costs one
+sequential sum.  Otherwise the forward pass runs over the band, at a cost
+that scales with its area.  The objective is not concave, so the best
+profile within budget may sit below the dual bound by a duality gap.
 
 The dual minimiser barely moves with N, so a solve on many cells first
 solves on COARSE_CELLS cells over the same lattice and brackets lam by
@@ -56,6 +60,7 @@ CUT_RTOL = 1e-12  # a cut rising no higher above the bracket's lines ends the se
 MAX_CUTS = 50  # safety cap
 COARSE_CELLS = 32  # solves on at least 4x as many cells start from this size's multiplier
 WARM_STEP = 0.02  # first relative step from the coarse multiplier, then x4 per step
+RECT_BLOCK = 1 << 16  # entries of g per block of rows when a band is searched whole
 
 
 @dataclass
@@ -77,6 +82,10 @@ class SolveDiagnostics:
     profile to ``snapshots``; the traces' last entry is the returned profile.
     ``gap`` is ``bound - value`` (see ``solve``), negative when spending the
     budget slack beat the bound; ``multiplier`` is the dual minimiser.
+    ``bound``, ``gap`` and ``converged`` cover only profiles on the level
+    lattice with the N uniform cells: a feasible profile off that class, such
+    as one that splits a cell at the gain-loss jump, may beat a ``converged``
+    value.
     ``box_binds``: the profile reaches the lowest or highest lattice level.
     ``restarts`` is always 0.
     """
@@ -200,7 +209,11 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
         below = max((m for m in profiles if m <= lam), default=None)
         lower = floor if above is None else profiles[above]
         upper = ceiling if below is None else profiles[below]
-        top, idx = _sweep(payoff, grid.state_prices, -lam * levels, lower, upper)
+        neg_levels = -lam * levels
+        own = _own_best(payoff, grid.state_prices, neg_levels, lower, upper)
+        if own is not None:  # each cell at its own best level is the sweep's answer
+            lower = upper = own
+        top, idx = _sweep(payoff, grid.state_prices, neg_levels, lower, upper)
         profiles[lam] = idx
         diag.iterates += 1
         diag.bound = min(diag.bound, top + lam * x0)
@@ -227,8 +240,7 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
         candidates.append((1.0 - t) * lo.q + t * hi.q)
         cross = (lo.value - hi.value) / (lo.cost - hi.cost)
         diag.multiplier = min(max(cross, lo.lam), hi.lam)
-    q = max(candidates, key=grid.value)
-    value = grid.value(q)
+    value, q = max(((grid.value(c), c) for c in candidates), key=lambda vc: vc[0])
     diag.value_trace.append(value)
     diag.neg_moment_trace.append(_neg_moment(q, opts.eta_moment))
     diag.gap = diag.bound - value
@@ -335,6 +347,73 @@ def _sweep(payoff, prices, neg_levels, lo, hi):
         k = (hi[i] if i == n - 1 else min(idx[i + 1] + 1, hi[i])) - lo[i]
         idx[i] += int(rows[i][:k].argmax()) if k > 1 else 0
     return float(row[-1]), np.array(idx, dtype=np.intp)
+
+
+def _own_best(payoff, prices, neg_levels, lo, hi):
+    """``_sweep``'s level indices, found without its forward pass, when they
+    are each cell's own first argmax l* of g[i, l] = prices[i] neg_levels[l]
+    + payoff[i, l] over its band ``[lo[i], hi[i]]``; None otherwise.
+
+    If l* is non-decreasing, no monotone path takes a larger g in any cell,
+    and rounded addition is monotone in each term, so the running sums S of
+    g(l*) are the sweep's row maxima.  The traceback moves cell i below l*[i]
+    only where a lower level's row value reaches S[i] too.  That value is at
+    most S[i - 1] plus the cell's best g from l*[i - 1] up, or the previous
+    cell's such bound plus its best g below l*[i - 1]: l* is returned when
+    every bound stays below S.  A band with one side at the lattice's end is
+    searched over its bounding rectangle of levels, in blocks of rows, any
+    other band cell by cell.  Each g is the product and sum ``_sweep`` forms,
+    so the roundings agree.
+    """
+    n = lo.size
+    at = np.empty(n + 1, dtype=np.intp)  # at[i + 1] is cell i's argmax
+    at[0] = lo[0]
+    lower, upper = np.empty(n), np.empty(n)  # best g below and above l*[i - 1]
+    if lo[-1] == 0 or hi[0] == payoff.shape[1] - 1:
+        a, b = int(lo[0]), int(hi[-1]) + 1
+        rows = max(1, RECT_BLOCK // (b - a))
+        for s in range(0, n, rows):
+            g = np.multiply.outer(prices[s:s + rows], neg_levels[a:b])
+            g += payoff[s:s + rows, a:b]
+            at[s + 1:s + rows + 1] = a + g.argmax(axis=1)
+            origin = np.arange(0, g.size, b - a) - a  # where each row's level 0 would sit
+            lower[s:s + rows], upper[s:s + rows] = _below_best(
+                g.ravel(), origin, lo[s:s + rows], at[s:s + rows + 1])
+    else:
+        width = hi - lo + 1
+        start = np.cumsum(width) - width
+        cell = np.repeat(np.arange(n), width)
+        level = np.arange(start[-1] + width[-1]) - start[cell] + lo[cell]
+        g = prices[cell] * neg_levels[level] + payoff[cell, level]
+        top = np.maximum.reduceat(g, start)
+        if np.isnan(top).any():
+            return None
+        hits = np.flatnonzero(g == top[cell])
+        at[1:] = level[hits[np.searchsorted(hits, start)]]
+        lower[:], upper[:] = _below_best(g, start - lo, lo, at)
+    idx = at[1:]
+    if not (np.all(np.diff(idx) >= 0) and np.all(lo <= idx) and np.all(idx <= hi)):
+        return None
+    sums = np.add.accumulate(prices * neg_levels[idx] + payoff[np.arange(n), idx])
+    before = np.concatenate(([0.0], sums[:-1]))
+    if np.all(before + np.maximum(lower, upper) < sums):  # every lower V below S
+        return idx
+    bound = -math.inf  # the best V below l*, cell by cell
+    for s0, s1, low, up in zip(before.tolist(), sums.tolist(), lower.tolist(), upper.tolist()):
+        bound = max(s0 + up, bound + low)
+        if not bound < s1:
+            return None
+    return idx
+
+
+def _below_best(g, origin, lo, at):
+    """The best of flat ``g`` in each cell's levels ``[lo[i], c)`` and
+    ``[c, at[i + 1])``, c = ``at[i]`` clipped into that range; cell i's level
+    l sits at ``g[origin[i] + l]``.  -inf where a range is empty."""
+    c = np.clip(at[:-1], lo, at[1:])
+    ends = np.column_stack((lo, c, at[1:])) + origin[:, None]
+    best = np.maximum.reduceat(g, ends.ravel()).reshape(-1, 3)
+    return np.where(lo < c, best[:, 0], -np.inf), np.where(c < at[1:], best[:, 1], -np.inf)
 
 
 def _raise_from_top(q, prices, slack, q_max):

@@ -342,6 +342,43 @@ def test_pointwise_marks_refused_points_nan():
     assert vals[0] == 0.0 and vals[1] == math.log(1.5) and np.isnan(vals[2])
 
 
+@pytest.mark.parametrize("u", [F.PowerUtility(2.0), F.PowerUtility(0.5), F.LogUtility(),
+                               F.LogLogUtility(), F.LogPowerUtility(1.0, 0.6)],
+                         ids=lambda u: repr(u))
+def test_growth_check_evaluates_each_grid_in_one_call(u, monkeypatch):
+    # the growth check takes each probe grid in one array call, and the
+    # differences are those of the point-by-point evaluation, bit for bit
+    calls = []
+    log_at_exp = type(u).log_at_exp
+
+    def counted(self, t):
+        calls.append(np.ndim(t))
+        return log_at_exp(self, t)
+
+    monkeypatch.setattr(type(u), "log_at_exp", counted)
+    attn.check_growth_condition(u, 0.5)
+    assert 0 < len(calls) <= 2 * len(attn.SIGMA_LADDER) and all(calls)
+    for sigma in attn.SIGMA_LADDER:
+        xs = attn._geometric_grid(cap=attn.GRID_CAP / sigma)
+        want = [log_at_exp(u, x) - 0.5 * log_at_exp(u, sigma * x) for x in xs]
+        got = attn._z_difference(u, 0.5, sigma, xs)
+        assert np.array(want).tobytes() == got.tobytes()
+
+
+def test_pointwise_falls_back_per_point_on_refusal():
+    calls = []
+
+    def fn(x):
+        calls.append(np.ndim(x))
+        return TABLE_U.log_eval(x)
+
+    vals = attn._pointwise(fn, np.array([1.0, 2.0]))
+    assert calls == [1] and vals.tolist() == [0.0, math.log(1.5)]
+    calls.clear()
+    vals = attn._pointwise(fn, np.array([1.0, 8.0]))
+    assert calls == [1, 0, 0] and vals[0] == 0.0 and np.isnan(vals[1])
+
+
 def test_growth_ratio_probe_stays_in_table():
     verdict = attn.growth_ratio_probe(TABLE_U, 0.5, 1.5)
     assert len(verdict.evidence) >= 8

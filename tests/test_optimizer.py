@@ -20,6 +20,7 @@ from cptq.optimizer import (
     _Grid,
     _lattice,
     _multiplier_search,
+    _own_best,
     _sweep,
     lattice_oracle,
     solve,
@@ -195,6 +196,90 @@ def test_folded_sweep_matches_row_sweep(data, n_cells, n_levels):
     assert np.float64(top).tobytes() == np.float64(want_top).tobytes()
 
 
+def band_argmax(payoff, prices, neg_levels, lo, hi):
+    """Each cell's first argmax of g over its band, one cell at a time."""
+    return np.array([a + int(np.argmax(prices[i] * neg_levels[a:b + 1] + payoff[i, a:b + 1]))
+                     for i, (a, b) in enumerate(zip(lo, hi))], dtype=np.intp)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n_cells=st.integers(1, 10), n_levels=st.integers(1, 7),
+       side=st.sampled_from(["floor", "ceiling", "both", "whole"]))
+def test_own_best_matches_sweep(data, n_cells, n_levels, side):
+    # when the helper collapses a band to each cell's own best level, the
+    # one-level sweep returns the band sweep's levels and its top bit for
+    # bit; where those levels are not monotone it declines.  Payoffs mix
+    # small integers (exact sums, many ties) with floats and with terms too
+    # small to move a sum of order 1 (rounding ties)
+    def profile():
+        return np.sort(data.draw(st.lists(st.integers(0, n_levels - 1),
+                                          min_size=n_cells, max_size=n_cells)))
+    lo, hi = np.sort(np.stack([profile(), profile()]), axis=0)
+    if side in ("floor", "whole"):  # bands of a sweep with a swept multiplier on one side
+        lo = np.zeros(n_cells)
+    if side in ("ceiling", "whole"):
+        hi = np.full(n_cells, n_levels - 1)
+    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
+    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-5.0, 5.0),
+                      st.sampled_from([1.0, 1e-17, -1e-17, 2.0 ** -53]))
+    payoff = np.array(data.draw(st.lists(value, min_size=n_cells * n_levels,
+                                         max_size=n_cells * n_levels))).reshape(n_cells, n_levels)
+    prices = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+                                         min_size=n_cells, max_size=n_cells)))
+    neg_levels = -np.sort(data.draw(st.lists(st.integers(-3, 3).map(float),
+                                             min_size=n_levels, max_size=n_levels)))
+    top, idx = _sweep(payoff, prices, neg_levels, lo, hi)
+    own = _own_best(payoff, prices, neg_levels, lo, hi)
+    best = band_argmax(payoff, prices, neg_levels, lo, hi)
+    if np.any(np.diff(best) < 0):
+        assert own is None
+    if own is not None:
+        np.testing.assert_array_equal(own, best)
+        one_top, one_idx = _sweep(payoff, prices, neg_levels, own, own)
+        np.testing.assert_array_equal(one_idx, idx)
+        assert np.float64(one_top).tobytes() == np.float64(top).tobytes()
+
+
+def test_own_best_declines_rounding_tie():
+    # cell 1's best level adds 1e-20 to a sum of 1, which rounds it away: the
+    # sweep's least maximiser keeps cell 1 at level 0
+    zeros, band = np.zeros(2), full_band(2, 2)
+    payoff = np.array([[1.0, 1.0], [0.0, 1e-20]])
+    assert list(band_argmax(payoff, zeros, zeros, *band)) == [0, 1]
+    assert _own_best(payoff, zeros, zeros, *band) is None
+    assert list(_sweep(payoff, zeros, zeros, *band)[1]) == [0, 0]
+    # here the tie runs through a level below cell 0's best: 1 + (2 - 2^-52)
+    # and (1 + 2^-52) + 2 both round to 3
+    payoff = np.array([[1.0, 1.0 + 2.0 ** -52], [2.0 - 2.0 ** -52, 2.0]])
+    assert list(band_argmax(payoff, zeros, zeros, *band)) == [1, 1]
+    assert _own_best(payoff, zeros, zeros, *band) is None
+    top, idx = _sweep(payoff, zeros, zeros, *band)
+    assert (top, list(idx)) == (3.0, [0, 0])
+
+
+def test_own_best_takes_first_of_tied_levels():
+    # exact ties within a cell collapse to the first level, the sweep's
+    # choice, whether the band is searched whole or cell by cell
+    payoff = np.array([[0.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+    args = (payoff, np.zeros(3), np.zeros(4))
+    for lo, hi in (full_band(3, 4), (np.array([1, 1, 1]), np.array([2, 2, 2]))):
+        assert list(_own_best(*args, lo, hi)) == [1, 1, 2] == list(_sweep(*args, lo, hi)[1])
+
+
+def test_own_best_declines_outside_band():
+    # a band whose top is the lattice's is searched over its bounding
+    # rectangle, where cell 1's best level, 0, lies below its band [1, 2]:
+    # the helper declines although the best levels within the bands, [0, 2],
+    # are monotone
+    payoff = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
+    args = (payoff, np.zeros(2), np.zeros(3))
+    lo, hi = np.array([0, 1]), np.array([2, 2])
+    assert list(band_argmax(*args, lo, hi)) == [0, 2]
+    assert _own_best(*args, lo, hi) is None
+    assert list(_sweep(*args, lo, hi)[1]) == [0, 2]
+    assert list(_own_best(*args, np.array([0, 0]), hi)) == [0, 0]
+
+
 def test_monotone_profile_required(lognormal):
     with pytest.raises(ParameterError):
         QuantilePortfolio(np.array([1.0, 0.5]), lognormal, U_EXP, ID_U, IDENT, IDENT)
@@ -365,22 +450,27 @@ def test_warm_start_matches_cold_search(lognormal, monkeypatch):
 
 def test_crossing_search_sweep_count(lognormal, monkeypatch):
     # the coarse multiplier brackets lam in a few sweeps, then a few exact
-    # cuts; only the first sweep searches the whole lattice.  The cold
-    # doubling took 19 sweeps, five of them over 40% of the lattice, and the
+    # cuts, and on configs/optimize.cfg every cell of every sweep, the coarse
+    # solve's included, already sits at its own best level: no band wider
+    # than one level reaches the dynamic programme.  The cold doubling took
+    # 19 sweeps at N = 256, five of them over 40% of the lattice, and the
     # bisection 52
-    whole = []
+    widths = []
 
     def traced(payoff, prices, neg_levels, lo, hi):
-        if payoff.shape[0] == 256:  # the fine sweeps, not the coarse solve's
-            whole.append(lo.max() == 0 and hi.min() == payoff.shape[1] - 1)
+        widths.append((payoff.shape[0], int(np.max(hi - lo))))
         return sweep(payoff, prices, neg_levels, lo, hi)
 
     sweep = optimizer._sweep
     monkeypatch.setattr(optimizer, "_sweep", traced)
-    _, diag = solve(lognormal, *OPT_PREFS, 1.0, n_cells=256)
-    assert diag.converged
-    assert diag.iterates == len(whole) <= 14
-    assert sum(whole) <= 1
+    for n_cells in (64, 256, 2048):
+        widths.clear()
+        _, diag = solve(lognormal, *OPT_PREFS, 1.0, n_cells=n_cells)
+        assert diag.converged
+        assert diag.iterates == sum(n == n_cells for n, _ in widths)
+        assert all(width == 0 for _, width in widths), (n_cells, widths)
+        if n_cells == 256:
+            assert diag.iterates <= 14
 
 
 def test_crossing_search_stops_on_tie():
