@@ -12,20 +12,93 @@ exact partial expectations of q_rho so that step-quantile payoffs are priced
 without quadrature error.  Table and discrete kernels share one tail
 integral, ``_piecewise_tail``: a reverse cumsum of exact cell integrals, one
 searchsorted per level and its partial cell (a discrete kernel is the step case).
+The normal cdf Phi and its inverse come from the standard library
+(``math.erfc`` and ``statistics.NormalDist.inv_cdf``, Wichura's AS241).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import _quad
 from .choquet import DiscreteLaw, QuantileLaw
 from .errors import DivergenceError, DomainError
 from .functions import read_table_csv
+
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt 2 - _SQRT_HALF
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+_INV_CDF = NormalDist().inv_cdf
+# Above s = -x / sqrt 2 = 5 a relative error u in s costs Phi(x) about
+# 2 s^2 u, over 1e-14 at s = 7: there the rounding of s is put back
+_TAIL_FIX_FROM = 5.0
+
+
+def _split(a):
+    """Dekker's split of a double into two halves of 26 bits: a = hi + lo."""
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_C_HI, _C_LO = _split(_SQRT_HALF)
+
+
+def _lost(x, s):
+    """-x / sqrt 2 - s for s = fl(-x * _SQRT_HALF): the product's rounding,
+    exact by Dekker's product, and the rounding of 1/sqrt 2 itself."""
+    hi, lo = _split(x)
+    return -((((hi * _C_HI + s) + hi * _C_LO) + lo * _C_HI) + lo * _C_LO) - x * _SQRT_HALF_LO
+
+
+def _ndtr(x):
+    """Phi(x) = erfc(-x / sqrt 2) / 2 elementwise; a float for a 0-d input.
+
+    In the far lower tail the first-order term of what rounding -x / sqrt 2
+    lost is added back, so Phi keeps its relative accuracy down to 1e-300.
+    """
+    if np.ndim(x) == 0:
+        x = float(x)
+        s = -_SQRT_HALF * x
+        out = 0.5 * math.erfc(s)
+        if _TAIL_FIX_FROM < s < math.inf:
+            out -= _INV_SQRT_PI * math.exp(-s * s) * _lost(x, s)
+        return out
+    x = np.asarray(x, dtype=float)
+    s = -_SQRT_HALF * x
+    t = s.ravel().tolist()
+    out = 0.5 * np.fromiter(map(math.erfc, t), float, len(t)).reshape(x.shape)
+    far = (s > _TAIL_FIX_FROM) & (s < math.inf)
+    if np.any(far):
+        s, x = s[far], x[far]
+        out[far] -= _INV_SQRT_PI * np.exp(-s * s) * _lost(x, s)
+    return out
+
+
+def _ndtri(p):
+    """Phi^-1 elementwise on [0, 1], -inf at 0 and inf at 1; a float for a
+    0-d input.  Only the interior levels reach ``inv_cdf``."""
+    if np.ndim(p) == 0:
+        p = float(p)
+        return _INV_CDF(p) if 0.0 < p < 1.0 else -math.inf if p < 0.5 else math.inf
+    p = np.asarray(p, dtype=float)
+    out = np.where(p < 0.5, -math.inf, math.inf)
+    inner = (p > 0.0) & (p < 1.0)
+    t = p[inner].tolist()
+    out[inner] = np.fromiter(map(_INV_CDF, t), float, len(t))
+    return out
+
+
+def _states(x):
+    """The kernel states ``x`` as an array; a NaN state raises."""
+    x = np.asarray(x, dtype=float)
+    if np.any(np.isnan(x)):
+        raise DomainError("kernel state must be a number, not NaN")
+    return x
 
 
 class PricingKernel:
@@ -70,20 +143,27 @@ class PricingKernel:
 
         Integrates q_rho(Phi(z))^p phi(z) over the normal score z, mapped
         from t in (0, 1) by z = c log(t / (1 - t)) so that far tails get
-        cells of their own (see ``_quad``).  Above the median q_rho is read
-        through ``quantile_upper``, so 1 - Phi(z) is never rounded away, and
-        the integrand is formed in logs, so no moment a double holds
-        overflows.
+        cells of their own (see ``_quad``).  The integrand is formed in logs
+        from ``score_log_quantile``, so no moment a double holds overflows.
         """
         def g(t):
             z = _Z_SCALE * np.log(t / (1.0 - t))
-            upper = z > 0.0
-            q = np.empty_like(z)
-            q[~upper] = self.quantile(np.maximum(ndtr(z[~upper]), TAIL_FLOOR))
-            q[upper] = self.quantile_upper(np.maximum(ndtr(-z[upper]), TAIL_FLOOR))
             with np.errstate(over="ignore"):
-                return np.exp(order * np.log(q) - 0.5 * z * z) * _DZ_DT / (t * (1.0 - t))
+                return (np.exp(order * self.score_log_quantile(z) - 0.5 * z * z)
+                        * _DZ_DT / (t * (1.0 - t)))
         return _quad.unit_integral(g)
+
+    def score_log_quantile(self, z):
+        """log q_rho(Phi(z)) for an array of normal scores z.
+
+        Above the median q_rho is read through ``quantile_upper``, so
+        1 - Phi(z) is never rounded away.
+        """
+        upper = z > 0.0
+        q = np.empty_like(z)
+        q[~upper] = self.quantile(np.maximum(_ndtr(z[~upper]), TAIL_FLOOR))
+        q[upper] = self.quantile_upper(np.maximum(_ndtr(-z[upper]), TAIL_FLOOR))
+        return np.log(q)
 
 
 TAIL_FLOOR = 1e-300  # tail probabilities below this reach the quantile as this
@@ -113,41 +193,38 @@ class LognormalKernel(PricingKernel):
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p <= 0.0) or np.any(p >= 1.0):
+        if not np.all((p > 0.0) & (p < 1.0)):
             raise DomainError("quantile level must lie in (0, 1)")
-        out = np.exp(self.mu + self.sigma * ndtri(p))
+        out = np.exp(self.mu + self.sigma * _ndtri(p))
         return float(out) if p.ndim == 0 else out
 
     def quantile_upper(self, eps):
         eps = np.asarray(eps, dtype=float)
-        if np.any(eps <= 0.0) or np.any(eps >= 1.0):
+        if not np.all((eps > 0.0) & (eps < 1.0)):
             raise DomainError("tail level must lie in (0, 1)")
-        out = np.exp(self.mu - self.sigma * ndtri(eps))
+        out = np.exp(self.mu - self.sigma * _ndtri(eps))
         return float(out) if eps.ndim == 0 else out
 
+    def score_log_quantile(self, z):
+        """log q_rho(Phi(z)) = mu + sigma z, exactly."""
+        return self.mu + self.sigma * z
+
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        # log 0 = -inf sends every state x <= 0 to Phi(-inf) = 0
         with np.errstate(divide="ignore"):
-            out = ndtr((np.log(x) - self.mu) / self.sigma)
-        out = np.where(x <= 0.0, 0.0, out)
-        return float(out) if x.ndim == 0 else out
+            return _ndtr((np.log(np.maximum(_states(x), 0.0)) - self.mu) / self.sigma)
 
     def survival(self, x):
-        x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = ndtr(-(np.log(x) - self.mu) / self.sigma)
-        out = np.where(x <= 0.0, 1.0, out)
-        return float(out) if x.ndim == 0 else out
+            return _ndtr(-(np.log(np.maximum(_states(x), 0.0)) - self.mu) / self.sigma)
 
     def tail_expectation(self, eps):
         eps = np.asarray(eps, dtype=float)
-        if np.any(eps < 0.0) or np.any(eps > 1.0):
+        if not np.all((eps >= 0.0) & (eps <= 1.0)):
             raise DomainError("tail mass must lie in [0, 1]")
         # integral over the top eps of the distribution: Phi-bar(z(eps) - sigma)
-        with np.errstate(divide="ignore"):
-            z = -ndtri(np.clip(eps, 0.0, 1.0))
-        out = np.where(eps == 0.0, 0.0, np.where(eps == 1.0, 1.0, ndtr(-(z - self.sigma))))
-        return float(out) if eps.ndim == 0 else out
+        # with z(eps) = -Phi^-1(eps); Phi^-1 is -inf at 0 and inf at 1
+        return _ndtr(_ndtri(eps) + self.sigma)
 
     def continuity_evidence(self):
         return super().continuity_evidence()[::8]  # the probe's two ends
@@ -171,7 +248,7 @@ def _piecewise_tail(edges, left, right, eps):
     right[i]; a step quantile has left == right.  Cells may have zero width.
     """
     eps = np.asarray(eps, dtype=float)
-    if np.any(eps < 0.0) or np.any(eps > 1.0):
+    if not np.all((eps >= 0.0) & (eps <= 1.0)):
         raise DomainError("tail mass must lie in [0, 1]")
     widths = np.diff(edges)
     # above[i]: integral over cells i, i+1, ...; above[-1] = 0
@@ -226,13 +303,13 @@ class TableKernel(PricingKernel):
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise DomainError("quantile level must lie in [0, 1]")
         out = np.interp(p, self.ps, self.qs)
         return float(out) if p.ndim == 0 else out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _states(x)
         # flat quantile stretches are atoms: keep the right-most knot of each
         # repeated value so the cdf jumps across the atom's full mass
         last = np.concatenate((self.qs[1:] != self.qs[:-1], [True]))
@@ -295,14 +372,14 @@ class DiscreteKernel(PricingKernel):
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if np.any(p < 0.0) or np.any(p > 1.0):
+        if not np.all((p >= 0.0) & (p <= 1.0)):
             raise DomainError("quantile level must lie in [0, 1]")
         idx = np.clip(np.searchsorted(self.edges[1:], p, side="left"), 0, self.values.size - 1)
         out = self.values[idx]
         return float(out) if p.ndim == 0 else out
 
     def cdf(self, x):
-        x = np.asarray(x, dtype=float)
+        x = _states(x)
         out = self.edges[np.searchsorted(self.values, x, side="right")]
         return float(out) if x.ndim == 0 else out
 

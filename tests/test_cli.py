@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -505,3 +507,28 @@ def test_check_evaluates_growth_once(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "check_report.json").read_text())
     assert report["attainability"]["holds"] == "yes"
     assert report["loss_growth_condition"]["holds"] == "yes"
+
+
+NO_SCIPY_SCRIPT = """\
+import contextlib, io, json, sys
+import cptq, cptq.cli
+configs, out = sys.argv[1:3]
+for command, name in (("check", "check"), ("demo-nonattain", "demo_nonattain"),
+                      ("optimize", "optimize")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cptq.cli.main([command, "--config", f"{configs}/{name}.cfg", "--out", out])
+    assert code == 0, (command, code)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_commands_never_import_scipy(tmp_path):
+    # a fresh interpreter: this test session has imported scipy itself
+    configs = pathlib.Path(__file__).parent.parent / "configs"
+    src = pathlib.Path(cli.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("CPTQ_")}
+    env["PYTHONPATH"] = str(src)
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(configs), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

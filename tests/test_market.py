@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,11 +10,13 @@ from scipy.integrate import quad, tanhsinh
 
 from cptq import _quad
 from cptq import functions as F
+from cptq import market
 from cptq.choquet import DiscreteLaw, QuantileLaw
 from cptq.errors import DivergenceError, DomainError
 from cptq.market import (
     DiscreteKernel,
     LognormalKernel,
+    PricingKernel,
     TableKernel,
     budget,
     check_assumptions,
@@ -96,6 +99,81 @@ def test_moments_lognormal():
             cf = lognormal_moment(p, sigma)
             assert converged, (sigma, p)
             assert abs(est - cf) <= 1e-12 * cf, (sigma, p, est, cf)
+
+
+def test_moment_two_sided_read_matches_closed_form():
+    # a kernel without its own score map reads q_rho(Phi(z)) through
+    # quantile below the median and quantile_upper above it
+    class TwoSided(LognormalKernel):
+        score_log_quantile = PricingKernel.score_log_quantile
+
+    for sigma in (0.15, 0.6):
+        k = TwoSided(sigma)
+        for p in (1, 4, 16, 40, -1, -4, -16, -40):
+            est, converged = k.moment(p)
+            cf = lognormal_moment(p, sigma)
+            assert converged, (sigma, p)
+            assert abs(est - cf) <= 1e-12 * cf, (sigma, p, est, cf)
+
+
+def _mp_ndtri(p):
+    """Phi^-1(p) at 40 digits: the root of log Phi(t) = log p, found by
+    mpmath; the upper half through 1 - p, which mpmath forms exactly."""
+    with mpmath.workdps(40):
+        p = mpmath.mpf(float(p))
+        if p == 0.5:
+            return 0.0
+        if p > 0.5:
+            return -_mp_ndtri(1 - p)
+        log_p = mpmath.log(p)
+        guess = -mpmath.sqrt(-2 * log_p)
+        return float(mpmath.findroot(lambda t: mpmath.log(mpmath.ncdf(t)) - log_p, guess))
+
+
+@pytest.mark.parametrize("levels", [np.logspace(-300, -1, 300),
+                                    np.linspace(0.0, 1.0, 401)[1:-1],
+                                    1.0 - np.logspace(-16, -1, 200)],
+                         ids=["lower-tail", "interior", "upper-tail"])
+def test_normal_quantile_matches_mpmath(levels):
+    ref = np.array([_mp_ndtri(p) for p in levels])
+    got = market._ndtri(levels)
+    assert np.all(np.abs(got - ref) <= 2e-14 * np.abs(ref))
+    assert [market._ndtri(p) for p in levels[::37]] == got[::37].tolist()
+
+
+def test_normal_cdf_matches_mpmath():
+    z = np.concatenate((np.linspace(-37.5, 8.5, 1201), -np.logspace(-6, 1.5, 100)))
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.ncdf(mpmath.mpf(float(t)))) for t in z])
+    keep = ref >= 1e-300
+    assert keep.sum() > 1200
+    got = market._ndtr(z)
+    assert np.all(np.abs(got - ref)[keep] <= 1e-13 * ref[keep])
+    assert [market._ndtr(t) for t in z[::37]] == got[::37].tolist()
+
+
+def test_normal_cdf_and_quantile_ends_and_scalars():
+    assert market._ndtri(0.0) == -math.inf and market._ndtri(1.0) == math.inf
+    assert market._ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
+    assert market._ndtr(-math.inf) == 0.0 and market._ndtr(math.inf) == 1.0
+    assert market._ndtr(np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
+    for value in (0.3, np.float64(0.3), np.array(0.3)):
+        assert type(market._ndtri(value)) is float
+        assert type(market._ndtr(value)) is float
+    assert market._ndtri(np.array([[0.25, 0.5]])).shape == (1, 2)
+    assert market._ndtr(np.array([[0.25, 0.5]])).shape == (1, 2)
+
+
+@pytest.mark.parametrize("kernel", [LognormalKernel(0.3),
+                                    TableKernel([0.0, 0.5, 1.0], [0.5, 1.0, 3.0]),
+                                    DiscreteKernel([0.5, 1.5], [0.5, 0.5])], ids=repr)
+def test_kernel_rejects_nan_levels_and_states(kernel):
+    methods = (kernel.quantile, kernel.quantile_upper, kernel.tail_expectation,
+               kernel.cdf, kernel.survival)
+    for method in methods:
+        for arg in (math.nan, np.array([0.25, math.nan])):
+            with pytest.raises(DomainError):
+                method(arg)
 
 
 def test_lognormal_moment_cost(monkeypatch):
