@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .choquet import (
     CPTValue,
     DiscreteLaw,
-    QuantileLaw,
     choquet_oracle,
     choquet_positive,
     cpt_value,
@@ -58,7 +57,6 @@ from .attainability import (
     loss_moment_bound,
     power_tail_bound,
     regime,
-    tightness_report,
 )
 from .constructions import (
     NonattainabilityReport,

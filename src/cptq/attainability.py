@@ -24,7 +24,7 @@ import numpy as np
 
 from .choquet import DiscreteLaw, choquet_positive
 from .errors import DomainError, EvaluationError, ParameterError
-from .functions import AssociatedDistortion, ZTransform
+from .functions import AssociatedDistortion
 
 GRID_CAP = 1e12
 SLOPE_TOL = 0.05
@@ -562,29 +562,3 @@ def loss_moment_bound(law, u_minus, delta, eta, zeta, threshold_fn):
     denom = u_minus.inverse(v_delta ** (-1.0 / delta))
     rhs = c_const + g_val ** eta / denom
     return float(lhs), float(rhs)
-
-
-def tightness_report(diag, u_minus, delta, eta, zeta, threshold_fn):
-    """Check each solver snapshot in ``diag`` against the loss-moment bound.
-
-    Returns a dict with the per-snapshot margins and the worst case; zero
-    violations is the numerical signature that the minimizing sequence keeps
-    its loss mass uniformly tight.
-    """
-    rows = []
-    violations = 0
-    max_moment = 0.0
-    for it, q in diag.snapshots:
-        losses = np.maximum(-np.asarray(q, dtype=float), 0.0)
-        n = losses.size
-        law = DiscreteLaw(losses, np.full(n, 1.0 / n))
-        lhs, rhs = loss_moment_bound(law, u_minus, delta, eta, zeta, threshold_fn)
-        rows.append({"iterate": it, "moment": lhs, "bound": rhs, "margin": rhs - lhs})
-        violations += lhs > rhs + 1e-9
-        max_moment = max(max_moment, lhs)
-    return {
-        "eta": eta,
-        "snapshots": rows,
-        "violations": int(violations),
-        "max_neg_moment": max_moment,
-    }

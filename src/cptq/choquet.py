@@ -7,9 +7,8 @@ Choquet integral of distorted survival probabilities:
     V_minus = integral_0^inf w_minus(P{u_minus(X-) > y}) dy
     V       = V_plus - V_minus   (may be -inf when the loss side diverges)
 
-Discrete laws are valued by exact step sums; quantile laws through the
-equivalent representation integral_0^1 u(q(1-s)) dw(s) on adaptive dyadic
-grids.
+Every law here is finitely supported (``DiscreteLaw``), so each integral is
+an exact step sum.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quad
 from .errors import DivergenceError, DomainError
 from .functions import read_table_csv, write_table_csv
 
@@ -96,47 +94,6 @@ class DiscreteLaw:
         return f"DiscreteLaw({self.values.size} atoms)"
 
 
-class QuantileLaw:
-    """Law specified through a (vectorized) quantile function on (0, 1)."""
-
-    def __init__(self, quantile_fn):
-        with np.errstate(over="ignore"):  # an unbounded quantile may overflow near 0 or 1
-            probe = np.asarray(quantile_fn(np.linspace(1e-6, 1.0 - 1e-6, 129)), dtype=float)
-        drops = np.diff(probe) < -1e-12 * np.maximum(np.abs(probe[:-1]), 1.0)
-        if np.any(drops):
-            raise DomainError("quantile function must be non-decreasing")
-        self.quantile_fn = quantile_fn
-
-    def quantile(self, p):
-        return self.quantile_fn(p)
-
-    def survival(self, t):
-        """P{X > t} by bisecting the quantile function."""
-        lo, hi = 1e-15, 1.0 - 1e-15
-        if self.quantile_fn(lo) > t:
-            return 1.0
-        if self.quantile_fn(hi) <= t:
-            return 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.quantile_fn(mid) <= t:
-                lo = mid
-            else:
-                hi = mid
-        return 1.0 - 0.5 * (lo + hi)
-
-    def positive_part(self):
-        base = self.quantile_fn
-        return QuantileLaw(lambda p: np.maximum(base(p), 0.0))
-
-    def negative_part(self):
-        base = self.quantile_fn
-        return QuantileLaw(lambda p: np.maximum(-base(1.0 - np.asarray(p, dtype=float)), 0.0))
-
-    def __repr__(self):
-        return "QuantileLaw(...)"
-
-
 @dataclass(frozen=True)
 class CPTValue:
     """Gain/loss split of a distorted valuation; total may be -inf."""
@@ -172,21 +129,12 @@ def _token(x):
 
 
 def choquet_positive(law, utility, distortion):
-    """Distorted valuation of a non-negative payoff.
-
-    Exact step sum for discrete laws; adaptive quantile-grid quadrature for
-    quantile laws, returning math.inf when the integral diverges.
-    """
-    if isinstance(law, DiscreteLaw):
-        if np.any(law.values < 0.0):
-            raise DomainError("law has negative support")
-        return _choquet_discrete(law, utility, distortion)
-    q = law.quantile_fn
-
-    def value_at(mids):
-        return utility(q(1.0 - mids))
-
-    return _quad.stieltjes_integral(value_at, distortion)
+    """Distorted valuation of a non-negative discrete payoff: an exact step sum."""
+    if not isinstance(law, DiscreteLaw):
+        raise DomainError(f"cannot value object of type {type(law).__name__}")
+    if np.any(law.values < 0.0):
+        raise DomainError("law has negative support")
+    return _choquet_discrete(law, utility, distortion)
 
 
 def _choquet_discrete(law, utility, distortion):
@@ -233,8 +181,8 @@ def choquet_oracle(law, utility, distortion):
 def cpt_value(law, u_plus, u_minus, w_plus, w_minus):
     """CPT value of a signed payoff law.
 
-    The gain side must converge (it always does when the gain utility is
-    bounded); a diverging loss side yields total -inf.
+    The gain side must be finite (it always is when the gain utility is
+    bounded); a loss side whose utility overflows yields total -inf.
     """
     v_plus = choquet_positive(law.positive_part(), u_plus, w_plus)
     if math.isinf(v_plus):

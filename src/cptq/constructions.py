@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .attainability import ConditionVerdict, regime
 from .choquet import DiscreteLaw, cpt_value
 from .errors import ConstructionError, LevelTooLowError

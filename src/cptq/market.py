@@ -25,8 +25,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import _quad
-from .choquet import DiscreteLaw, QuantileLaw
-from .errors import DivergenceError, DomainError
+from .choquet import DiscreteLaw
+from .errors import DomainError
 from .functions import read_table_csv
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -493,25 +493,16 @@ def budget(kernel, law):
     """Cost of the payoff with law ``law`` arranged anti-comonotonically
     with the kernel: integral_0^1 q_rho(x) q_nu(1 - x) dx.
 
-    Discrete laws are priced exactly through the kernel's partial
-    expectations; quantile laws by adaptive quadrature.  A divergent
-    negative part means the arrangement is inadmissible and raises.
+    The law must be a ``DiscreteLaw``; it is priced exactly through the
+    kernel's partial expectations.
     """
     return _cost(kernel, law, True)
 
 
 def _cost(kernel, law, anti):
-    """Anti-comonotone (``anti``) or comonotone cost of a law, a quantile
-    law or a bare quantile function."""
-    if isinstance(law, DiscreteLaw):
-        return _budget_steps(kernel, law, anti)
-    q_fn = law.quantile_fn if isinstance(law, QuantileLaw) else law
-    if not callable(q_fn):
+    """Anti-comonotone (``anti``) or comonotone cost of a discrete law."""
+    if not isinstance(law, DiscreteLaw):
         raise DomainError(f"cannot price object of type {type(law).__name__}")
-    return _budget_smooth(kernel, q_fn, anti)
-
-
-def _budget_steps(kernel, law, anti):
     order = np.argsort(law.values, kind="stable")
     vals = law.values[order]
     edges = _cell_edges(law.probs[order])
@@ -522,29 +513,6 @@ def _budget_steps(kernel, law, anti):
     else:
         masses = -np.diff(kernel.tail_expectation(1.0 - edges))
     return float(np.sum(vals * masses))
-
-
-def _budget_smooth(kernel, q_fn, anti):
-    def g(x):
-        q_arg = 1.0 - x if anti else x
-        with np.errstate(over="ignore"):  # infinities feed the divergence rule
-            return np.asarray(kernel.quantile(x), dtype=float) * np.asarray(
-                q_fn(q_arg), dtype=float
-            )
-
-    def g_pos(x):
-        return np.maximum(g(x), 0.0)
-
-    def g_neg(x):
-        return np.maximum(-g(x), 0.0)
-
-    neg, _ = _quad.unit_integral(g_neg)
-    if math.isinf(neg):
-        raise DivergenceError("negative part of the cost diverges; payoff inadmissible")
-    pos, _ = _quad.unit_integral(g_pos)
-    if math.isinf(pos):
-        return math.inf
-    return pos - neg
 
 
 def hardy_littlewood_check(kernel, law):

@@ -78,8 +78,8 @@ class SolveDiagnostics:
 
     ``iterates`` counts the sweeps on the requested cells, not those of the
     coarse solve that warm-starts the multiplier.  Each of them within budget
-    adds the running best value and its E[(X^-)^eta] to the traces and its
-    profile to ``snapshots``; the traces' last entry is the returned profile.
+    adds the running best value and its E[(X^-)^eta] to the traces; the
+    traces' last entry is the returned profile.
     ``gap`` is ``bound - value`` (see ``solve``), negative when spending the
     budget slack beat the bound; ``multiplier`` is the dual minimiser.
     ``bound``, ``gap`` and ``converged`` cover only profiles on the level
@@ -95,7 +95,6 @@ class SolveDiagnostics:
     neg_moment_trace: list = field(default_factory=list)
     restarts: int = 0
     converged: bool = False
-    snapshots: list = field(default_factory=list)
     bound: float = math.inf
     gap: float = math.inf
     multiplier: float = 0.0
@@ -226,7 +225,6 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
                 best = (value, q)
             diag.value_trace.append(best[0])
             diag.neg_moment_trace.append(_neg_moment(best[1], opts.eta_moment))
-            diag.snapshots.append((diag.iterates, q))
         return _Swept(lam, q, cost, top + lam * cost, within)
 
     lo, hi = _multiplier_search(sweep, start)

@@ -10,7 +10,6 @@ from cptq import functions as F
 from cptq.choquet import (
     CPTValue,
     DiscreteLaw,
-    QuantileLaw,
     choquet_oracle,
     choquet_positive,
     cpt_value,
@@ -27,11 +26,6 @@ def test_survival_discrete():
     assert law.survival(1.0) == 0.25
     assert law.survival(-10.0) == 1.0
     assert law.survival(2.0) == 0.0
-
-
-def test_survival_quantile_uniform():
-    unif = QuantileLaw(lambda p: np.asarray(p, dtype=float))
-    assert abs(unif.survival(0.5) - 0.5) < 1e-10
 
 
 def test_single_atom_value():
@@ -113,26 +107,6 @@ def test_negative_support_rejected():
         choquet_positive(law, ID_U, IDENT)
 
 
-def test_quantile_law_closed_forms():
-    unif = QuantileLaw(lambda p: np.asarray(p, dtype=float))
-    # identity distortion: E[U] = 1/2
-    assert abs(choquet_positive(unif, ID_U, IDENT) - 0.5) < 1e-7
-    # power(2) distortion: integral_0^1 (1-s) d(s^2) = 1/3
-    assert abs(choquet_positive(unif, ID_U, F.PowerDistortion(2.0)) - 1.0 / 3.0) < 1e-7
-
-
-def test_quantile_matches_oracle_on_discretization(rng):
-    q = lambda p: np.exp(np.asarray(p, dtype=float)) - 1.0
-    law = QuantileLaw(q)
-    u = F.LogUtility()
-    w = F.PrelecDistortion(1.0, 0.65)
-    smooth = choquet_positive(law, u, w)
-    m = 1 << 13
-    mids = (np.arange(m) + 0.5) / m
-    disc = DiscreteLaw(q(mids), np.full(m, 1.0 / m))
-    assert abs(smooth - choquet_oracle(disc, u, w)) < 1e-4
-
-
 def test_cpt_value_zero_payoff():
     law = DiscreteLaw([0.0], [1.0])
     v = cpt_value(law, F.ExponentialUtility(1.0), F.LogUtility(), IDENT, IDENT)
@@ -146,17 +120,16 @@ def test_cpt_value_symmetric_cancels():
 
 
 def test_cpt_value_loss_divergence_is_minus_inf():
-    heavy = QuantileLaw(lambda p: -1.0 / np.asarray(p, dtype=float) ** 3)
+    # u_minus(1e200) = 1e400 overflows: the loss side is infinite
+    heavy = DiscreteLaw([-1e200, 1.0], [0.5, 0.5])
     v = cpt_value(heavy, F.ExponentialUtility(1.0), F.PowerUtility(2.0), IDENT, IDENT)
-    assert math.isinf(v.v_minus)
+    assert v.v_minus == math.inf
     assert v.total == -math.inf
 
 
-def test_quantile_negative_part():
-    q = lambda p: np.asarray(p, dtype=float) - 0.3
-    neg = QuantileLaw(q).negative_part()
-    # E[(X)^-] = integral_0^0.3 (0.3 - u) du = 0.045
-    assert abs(choquet_positive(neg, ID_U, IDENT) - 0.045) < 1e-7
+def test_valuation_rejects_non_discrete_laws():
+    with pytest.raises(DomainError, match="function"):
+        choquet_positive(lambda p: p, ID_U, IDENT)
 
 
 def test_sure_payoff_keeps_full_mass():

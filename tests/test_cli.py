@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -532,3 +533,22 @@ def test_commands_never_import_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_modules_have_no_unused_imports():
+    # a top-level import that no name in the module reads; the package
+    # __init__ is skipped, its imports are the public surface
+    unused = []
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                continue
+            names = (alias.asname or alias.name.split(".")[0] for alias in stmt.names)
+            unused += [f"{path.name}: {name}" for name in names if name not in read]
+    assert unused == []

@@ -11,8 +11,8 @@ from scipy.integrate import quad, tanhsinh
 from cptq import _quad
 from cptq import functions as F
 from cptq import market
-from cptq.choquet import DiscreteLaw, QuantileLaw
-from cptq.errors import DivergenceError, DomainError
+from cptq.choquet import DiscreteLaw
+from cptq.errors import DomainError
 from cptq.market import (
     DiscreteKernel,
     LognormalKernel,
@@ -295,30 +295,37 @@ def test_budget_constant_payoff(lognormal):
     assert abs(budget(lognormal, DiscreteLaw([3.0], [1.0])) - 3.0) < 1e-12
 
 
-def test_budget_anticomonotone_copy(lognormal):
+def test_budget_anticomonotone_copy():
     # the payoff with the kernel's own law, held anti-comonotone, costs
-    # exactly exp(-sigma^2): q(x) q(1-x) is constant for a lognormal kernel
-    law = QuantileLaw(lognormal.quantile)
-    lo = budget(lognormal, law)
-    cf = math.exp(-SIGMA ** 2)
-    assert abs(lo - cf) < 1e-6 * cf
-    assert lo < 1.0  # strictly below independent pricing E[rho] E[X]
+    # integral_0^1 q(x) q(1 - x) dx: a step function between the union of
+    # the cumulative edges c_i and their mirrors 1 - c_i
+    values, probs = [0.3, 0.9, 1.2, 2.0], [0.1, 0.4, 0.3, 0.2]
+    k = DiscreteKernel(values, probs)
+    edges = np.union1d(k.edges, 1.0 - k.edges)
+    mids = 0.5 * (edges[1:] + edges[:-1])
+    exact = float(np.sum(np.diff(edges) * k.quantile(mids) * k.quantile(1.0 - mids)))
+    lo = budget(k, DiscreteLaw(values, probs))
+    assert abs(lo - exact) <= 1e-15 * exact
+    assert lo < k.mean * float(np.dot(values, probs))  # below independent pricing
 
 
-def test_budget_linear(lognormal):
-    q1 = lambda p: np.asarray(p, dtype=float) ** 2
-    q2 = lambda p: 1.0 + np.asarray(p, dtype=float)
-    b1 = budget(lognormal, QuantileLaw(q1))
-    b2 = budget(lognormal, QuantileLaw(q2))
+def test_budget_linear(lognormal, rng):
+    # a q1 + b q2 of two non-decreasing value vectors on shared probabilities
+    # (a comonotone sum, so it keeps their order) costs a budget(q1) + b budget(q2)
+    probs = rng.dirichlet(np.ones(12))
+    q1 = np.sort(rng.normal(0.0, 2.0, 12))
+    q2 = np.sort(rng.exponential(1.0, 12))
+    b1 = budget(lognormal, DiscreteLaw(q1, probs))
+    b2 = budget(lognormal, DiscreteLaw(q2, probs))
     for a, b in ((2.0, 3.0), (0.5, 0.0), (1.0, 1.0)):
-        combo = budget(lognormal, QuantileLaw(lambda p: a * q1(p) + b * q2(p)))
-        assert abs(combo - (a * b1 + b * b2)) < 1e-9 * max(1.0, abs(combo))
+        combo = budget(lognormal, DiscreteLaw(a * q1 + b * q2, probs))
+        assert abs(combo - (a * b1 + b * b2)) < 1e-12 * max(1.0, abs(combo))
 
 
-def test_budget_divergent_negative_part(lognormal):
-    bad = QuantileLaw(lambda p: -np.exp(3.0 / np.asarray(p, dtype=float)))
-    with pytest.raises(DivergenceError):
-        budget(lognormal, bad)
+def test_cost_rejects_non_discrete_laws(lognormal):
+    for cost in (budget, hardy_littlewood_check):
+        with pytest.raises(DomainError, match="function"):
+            cost(lognormal, lambda p: p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -354,10 +361,12 @@ def test_hardy_littlewood_two_state_enumeration():
 
 
 def test_hardy_littlewood_brackets_random_couplings(lognormal, rng):
-    # X with a lognormal-type upper tail, coupled to the kernel through
-    # random copulas: no coupling escapes [lower, upper]
-    q_fn = lambda p: 2.0 * np.asarray(p, dtype=float) ** 1.5 + 0.1
-    lo, up = hardy_littlewood_check(lognormal, QuantileLaw(q_fn))
+    # X, sampled through its quantile, coupled to the kernel through random
+    # copulas: no coupling escapes [lower, upper]
+    m = 64
+    law = DiscreteLaw(2.0 * ((np.arange(m) + 0.5) / m) ** 1.5 + 0.1, np.full(m, 1.0 / m))
+    q_fn = law.quantile
+    lo, up = hardy_littlewood_check(lognormal, law)
     n = 400_000
     u = rng.random(n)
     couplings = {
@@ -376,8 +385,9 @@ def test_hardy_littlewood_brackets_random_couplings(lognormal, rng):
 
 def test_budget_minimal_over_couplings(lognormal, rng):
     # anti-comonotone arrangement is the cheapest coupling
-    q_fn = lambda p: np.asarray(p, dtype=float) ** 2 + 0.5
-    lo = budget(lognormal, QuantileLaw(q_fn))
+    law = DiscreteLaw(rng.random(50) ** 2 + 0.5, rng.dirichlet(np.ones(50)))
+    q_fn = law.quantile
+    lo = budget(lognormal, law)
     n = 300_000
     u = rng.random(n)
     rho = lognormal.quantile(np.clip(u, 1e-12, 1 - 1e-12))

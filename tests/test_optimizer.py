@@ -15,7 +15,6 @@ from cptq.errors import InfeasibleError, ParameterError
 from cptq.market import DiscreteKernel, LognormalKernel
 from cptq.optimizer import (
     QuantilePortfolio,
-    SolveDiagnostics,
     SolveOptions,
     _Grid,
     _lattice,
@@ -502,27 +501,18 @@ def test_bound_covers_lattice_profiles():
         assert math.isclose(diag.gap, diag.bound - port.cpt.total)
 
 
-def test_tightness_report_in_regime(lognormal):
+def test_loss_moment_bound_holds_on_solved_profile(lognormal):
+    # in the existence regime the returned profile's loss moment sits
+    # under the appendix bound, and it is the moment the diagnostics report
     u_minus = F.PowerUtility(2.0)
     delta, zeta, eta = 0.5, 1.5, 1.2
     w_minus = F.AssociatedDistortion(u_minus, delta)
-    opts = SolveOptions(eta_moment=eta)
-    _, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
-                    n_cells=64, opts=opts)
+    port, diag = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
+                       n_cells=64, opts=SolveOptions(eta_moment=eta))
     G = attn.g_function(u_minus, delta, zeta)
-    report = attn.tightness_report(diag, u_minus, delta, eta, zeta, G)
-    assert report["violations"] == 0
-    assert len(report["snapshots"]) >= 1
-    assert report["max_neg_moment"] < math.inf
-
-
-def test_tightness_report_flags_nothing_for_constant():
-    u_minus = F.PowerUtility(2.0)
-    delta, zeta, eta = 0.5, 1.5, 1.2
-    diag = SolveDiagnostics(snapshots=[(0, np.full(8, 1.0))])
-    G = attn.g_function(u_minus, delta, zeta)
-    report = attn.tightness_report(diag, u_minus, delta, eta, zeta, G)
-    assert report["violations"] == 0
+    lhs, rhs = attn.loss_moment_bound(port.law.negative_part(), u_minus, delta, eta, zeta, G)
+    assert lhs <= rhs
+    assert lhs == diag.neg_moment_trace[-1]
 
 
 def test_threshold_contrast_across_resolution(lognormal):
