@@ -152,8 +152,13 @@ def _choquet_discrete(law, utility, distortion):
     if np.all(mask):
         tails[0] = 1.0  # the lowest level is sure: no rounding below 1
     u_levels = np.asarray(utility(levels), dtype=float)
-    du = np.diff(np.concatenate(([0.0], u_levels)))
     w_tails = np.minimum(np.asarray(distortion(np.minimum(tails, 1.0)), dtype=float), 1.0)
+    if math.isinf(u_levels[-1]):  # the utility overflows at the top levels
+        bounded = u_levels < math.inf
+        if np.any(w_tails[~bounded] > 0.0):
+            return math.inf
+        u_levels, w_tails = u_levels[bounded], w_tails[bounded]  # no weight: 0 * inf = 0
+    du = np.diff(np.concatenate(([0.0], u_levels)))
     return float(np.sum(du * w_tails))
 
 

@@ -78,11 +78,9 @@ def _coerce(token):
 
 def apply_env_overrides(cfg, environ=None):
     environ = os.environ if environ is None else environ
-    for name, value in environ.items():
-        if not name.startswith(ENV_PREFIX):
-            continue
-        key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        cfg[key] = _coerce(value)
+    # decode only the values of the CPTQ_* names
+    for name in [name for name in environ if name.startswith(ENV_PREFIX)]:
+        cfg[name[len(ENV_PREFIX):].lower().replace("__", ".")] = _coerce(environ[name])
     return cfg
 
 

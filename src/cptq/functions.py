@@ -21,7 +21,6 @@ checkers rely on:
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -551,65 +550,59 @@ def normalize_utility(utility):
     return ScaledUtility(utility, scale), scale
 
 
-def bracketed_inverse(utility, y):
-    """Invert a utility by doubling bracket search plus bisection.
-
-    Independent of the closed-form ``inverse`` methods; used to cross-check
-    them.  The bracket grows from x = 1 by doubling (or shrinks by halving)
-    until it straddles the target, then bisects to relative width 1e-10.
-    """
-    if y < 0:
-        raise DomainError("inversion target must be non-negative")
-    if y >= utility.saturation:
-        raise SaturationError(f"target {y} at or beyond the upper limit")
-    if y == 0.0:
-        return 0.0
-    lo, hi = 1.0, 1.0
-    while utility(hi) < y:
-        hi *= 2.0
-    while utility(lo) > y:
-        lo /= 2.0
-    while hi - lo > 1e-10 * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if utility(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+_NOT_SEPARATOR = bytes(set(range(256)) - set(b",\n"))
 
 
 def read_table_csv(path, header, header_required=False):
     """(first column, second column, saturation) of a two-column numeric CSV.
 
-    Empty lines and ``#`` comments are skipped; ``# saturation=<value>`` sets
-    the saturation (inf if absent).  A first row starting with ``header`` is
-    the header, mandatory if ``header_required``.  A malformed row raises
-    ``DomainError`` naming the file and the line.
+    Every line is blank, a ``#`` comment, the header or a row.  A row is
+    exactly two cells separated by a comma, each read by ``float`` (no
+    quotes; surrounding spaces allowed).  ``# saturation=<value>`` sets the
+    saturation (inf if absent) wherever it appears.  The header is the first
+    line that is neither blank nor a comment, if its first cell is
+    ``header``; it is mandatory if ``header_required``.  A malformed row
+    raises ``DomainError`` naming the file and the line.
     """
-    saturation = math.inf
-    rows = []
-    header_seen = False
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for row in reader:
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except (IndexError, ValueError):
-                    cell = row[0].strip() if row else "#"
-                    if cell.startswith("#"):
-                        text = ",".join(row).strip().lstrip("#").strip()
-                        if text.startswith("saturation="):
-                            saturation = float(text.split("=", 1)[1])
-                    elif rows or header_seen or cell != header:
-                        raise ValueError(f"expected two numbers, got {row!r}") from None
-                    else:
-                        header_seen = True
-        except ValueError as exc:
-            raise DomainError(f"{path}, line {reader.line_num}: {exc}") from None
+    saturation, header_seen, failure = math.inf, False, None
+    rows, skipped = [], []  # the rows; the numbers of all other lines
+    with open(path) as fh:
+        for number, line in enumerate(fh.read().split("\n"), 1):
+            if not line or "#" in line and line.lstrip().startswith("#"):
+                skipped.append(number)
+                text = line.strip().lstrip("#").strip()
+                if text.startswith("saturation="):
+                    try:
+                        saturation = float(text[len("saturation="):])
+                    except ValueError as exc:  # raised unless an earlier row is bad
+                        failure = DomainError(f"{path}, line {number}: {exc}")
+                        break
+            elif rows or header_seen or line.split(",", 1)[0].strip() != header:
+                rows.append(line)
+            else:
+                skipped.append(number)
+                header_seen = True
+    n_rows, body = len(rows), "\n".join(rows)
+    del rows  # from here the text is held once: as the body, then as its cells
+    try:
+        # one comma per row: the separators alternate, comma first
+        if body.encode().translate(None, _NOT_SEPARATOR) != (b",\n" * n_rows)[:-1]:
+            raise ValueError("a row is not two cells")
+        cells = body.replace("\n", ",").split(",") if n_rows else []
+        first, second = np.array(cells, dtype=float).reshape(-1, 2).T.copy()
+    except ValueError:
+        rows, skipped = body.split("\n"), set(skipped)
+        numbers = (n for n in range(1, len(rows) + len(skipped) + 1) if n not in skipped)
+        for number, row in zip(numbers, rows):
+            try:
+                np.array(row.split(","), dtype=float).reshape(2)
+            except ValueError:
+                raise DomainError(f"{path}, line {number}: not two numbers: {row!r}") from None
+        raise
+    if failure:
+        raise failure
     if header_required and not header_seen:
         raise DomainError(f"{path}: table must start with the header '{header},value'")
-    first, second = np.array(rows).reshape(-1, 2).T.copy()
     return first, second, saturation
 
 

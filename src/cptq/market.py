@@ -496,16 +496,19 @@ def budget(kernel, law):
     The law must be a ``DiscreteLaw``; it is priced exactly through the
     kernel's partial expectations.
     """
-    return _cost(kernel, law, True)
+    return _cost(kernel, *_law_cells(law), True)
 
 
-def _cost(kernel, law, anti):
-    """Anti-comonotone (``anti``) or comonotone cost of a discrete law."""
+def _law_cells(law):
+    """Values of a discrete law in increasing order, and their cell edges."""
     if not isinstance(law, DiscreteLaw):
         raise DomainError(f"cannot price object of type {type(law).__name__}")
     order = np.argsort(law.values, kind="stable")
-    vals = law.values[order]
-    edges = _cell_edges(law.probs[order])
+    return law.values[order], _cell_edges(law.probs[order])
+
+
+def _cost(kernel, vals, edges, anti):
+    """Anti-comonotone (``anti``) or comonotone cost of sorted law cells."""
     if anti:
         # payoff cell (c_{j-1}, c_j) occupies kernel states (1-c_j, 1-c_{j-1});
         # accumulate in tail space so tiny cells keep full precision
@@ -521,4 +524,5 @@ def hardy_littlewood_check(kernel, law):
     Returns (lower, upper): anti-comonotone and comonotone arrangements.
     Any joint arrangement with these marginals costs within the bracket.
     """
-    return _cost(kernel, law, True), _cost(kernel, law, False)
+    cells = _law_cells(law)
+    return _cost(kernel, *cells, True), _cost(kernel, *cells, False)

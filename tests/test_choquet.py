@@ -127,6 +127,17 @@ def test_cpt_value_loss_divergence_is_minus_inf():
     assert v.total == -math.inf
 
 
+def test_cpt_value_several_overflowing_atoms():
+    # two atoms past the overflow: inf, not inf - inf (a RuntimeWarning here)
+    heavy = DiscreteLaw([-1e200, -2e200, 1.0], [0.25, 0.25, 0.5])
+    v = cpt_value(heavy, F.ExponentialUtility(1.0), F.PowerUtility(2.0), IDENT, IDENT)
+    assert v.v_minus == math.inf
+    assert v.total == -math.inf
+    mirrored = DiscreteLaw([1e200, 2e200, -1.0], [0.25, 0.25, 0.5])
+    with pytest.raises(DivergenceError):
+        cpt_value(mirrored, F.PowerUtility(2.0), F.PowerUtility(2.0), IDENT, IDENT)
+
+
 def test_valuation_rejects_non_discrete_laws():
     with pytest.raises(DomainError, match="function"):
         choquet_positive(lambda p: p, ID_U, IDENT)

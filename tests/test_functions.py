@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cptq import functions as F
+from cptq.choquet import DiscreteLaw
 from cptq.errors import (
     AssociationError,
     DomainError,
@@ -67,18 +71,46 @@ def test_inverse_power_square_root():
     assert F.PowerUtility(2.0).inverse(4.0) == 2.0
 
 
+def bracketed_inverse(utility, y):
+    """Invert a utility by doubling bracket search plus bisection.
+
+    Independent of the closed-form ``inverse`` methods, which it
+    cross-checks.  The bracket grows from x = 1 by doubling (or shrinks by
+    halving) until it straddles the target, then bisects to relative width
+    1e-10.
+    """
+    if y < 0:
+        raise DomainError("inversion target must be non-negative")
+    if y >= utility.saturation:
+        raise SaturationError(f"target {y} at or beyond the upper limit")
+    if y == 0.0:
+        return 0.0
+    lo, hi = 1.0, 1.0
+    while utility(hi) < y:
+        hi *= 2.0
+    while utility(lo) > y:
+        lo /= 2.0
+    while hi - lo > 1e-10 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if utility(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def test_loglog_inverse_analytic_vs_bisection():
     u = F.LogLogUtility()
     x = u.inverse(1.0)
     assert abs(x - (math.exp(math.e - 1.0) - 1.0)) < 1e-12
-    assert abs(F.bracketed_inverse(u, 1.0) - x) < 1e-8 * x
+    assert abs(bracketed_inverse(u, 1.0) - x) < 1e-8 * x
 
 
 def test_bracketed_inverse_matches_closed_forms(rng):
     for u in CATALOG:
         for y in rng.uniform(0.05, 0.9 * min(u.saturation, 5.0), 5):
             closed = u.inverse(float(y))
-            got = F.bracketed_inverse(u, float(y))
+            got = bracketed_inverse(u, float(y))
             assert abs(got - closed) < 1e-8 * max(1.0, closed)
 
 
@@ -123,6 +155,102 @@ def test_write_table_csv_cells(tmp_path):
     rows = [("a", 0.1), (3, np.float64(2.5)), ("b", -math.inf)]
     F.write_table_csv(path, ("key", "value"), rows, header_lines=["one", "two"])
     assert path.read_bytes() == b"# one\n# two\nkey,value\na,0.1\n3,2.5\nb,-inf\n"
+
+
+# cells as a writer might print them: repr, other precisions, infinities
+CELL_FORMATS = (repr, "{:.17g}".format, "{:.3e}".format, "{:+.6f}".format,
+                lambda x: "Infinity" if x == math.inf else repr(x))
+PADS = st.sampled_from(["", " ", "  ", "\t"])
+CELLS = st.builds(lambda pad, x, fmt, end: pad + fmt(x) + end,
+                  PADS, st.floats(allow_infinity=True), st.sampled_from(CELL_FORMATS), PADS)
+# (kind, text) of a line that is not a row; comments hold no quote, so any
+# CSV reader takes each as one line
+FILLER = st.one_of(
+    st.just(("blank", "")),
+    st.builds(lambda pad, text: ("comment", pad + "#" + text), PADS,
+              st.text(alphabet="abc ,=.#0123456789", max_size=12)),
+    st.builds(lambda pad, x, fmt: ("saturation", f"{pad}# saturation={fmt(x)}"),
+              PADS, st.floats(0.0, allow_infinity=True), st.sampled_from(CELL_FORMATS)),
+)
+
+
+@st.composite
+def table_texts(draw):
+    """(lines, rows, saturation): a table with blanks, comments and an
+    optional header, the (first, second) cell texts of its rows, and the
+    saturation its comments set."""
+    lines = [text for _, text in draw(st.lists(FILLER, max_size=3))]
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["value,prob", " value , prob", "value"])))
+    rows, saturation = [], math.inf
+    for item in draw(st.lists(st.one_of(st.tuples(st.just("row"), CELLS, CELLS), FILLER),
+                              max_size=25)):
+        if item[0] == "row":
+            rows.append((len(lines) + 1, item[1], item[2]))
+            lines.append(f"{item[1]},{item[2]}")
+        else:
+            lines.append(item[1])
+    for line in lines:
+        if line.lstrip().startswith("# saturation="):
+            saturation = float(line.split("=", 1)[1])
+    return lines, rows, saturation
+
+
+def _write_lines(path, lines, newline, final):
+    path.write_bytes((newline.join(lines) + (newline if final else "")).encode())
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n"]), final=st.booleans())
+def test_read_table_csv_matches_float_per_cell(tmp_path_factory, table, newline, final):
+    lines, rows, saturation = table
+    path = tmp_path_factory.mktemp("tables") / "t.csv"
+    _write_lines(path, lines, newline, final)
+    first, second, sat = F.read_table_csv(path, "value")
+    assert first.tobytes() == np.array([float(a) for _, a, _ in rows]).tobytes()
+    assert second.tobytes() == np.array([float(b) for _, _, b in rows]).tobytes()
+    assert sat == saturation
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=table_texts(), newline=st.sampled_from(["\n", "\r\n"]), data=st.data())
+def test_read_table_csv_names_the_corrupted_line(tmp_path_factory, table, newline, data):
+    lines, rows, _ = table
+    assume(rows)
+    number, a, b = data.draw(st.sampled_from(rows))
+    lines = list(lines)
+    lines[number - 1] = data.draw(st.sampled_from([f"{a},half", a, f",{b}", f"{a};{b}"]))
+    path = tmp_path_factory.mktemp("tables") / "t.csv"
+    _write_lines(path, lines, newline, True)
+    with pytest.raises(DomainError, match=re.escape(f"{path}, line {number}:")):
+        F.read_table_csv(path, "value")
+
+
+def test_read_table_csv_two_cells_no_quotes(tmp_path):
+    path = tmp_path / "t.csv"
+    # a third cell and a quoted cell are rejected, each naming its line
+    for bad in ("value,prob\n# saturation=2\n0.5,0.5,extra\n", 'value,prob\n\n"0.5",0.5\n'):
+        path.write_text(bad)
+        with pytest.raises(DomainError, match=re.escape(f"{path}, line 3: not two numbers")):
+            F.read_table_csv(path, "value")
+    # a bad saturation after a bad row: the row is named
+    path.write_text("0.5,x\n# saturation=high\n")
+    with pytest.raises(DomainError, match=re.escape(f"{path}, line 1:")):
+        F.read_table_csv(path, "value")
+    path.write_text("0.5,0.5\n# saturation=high\n")
+    with pytest.raises(DomainError, match=re.escape(f"{path}, line 2:")):
+        F.read_table_csv(path, "value")
+
+
+def test_read_table_csv_header_only_and_missing_header(tmp_path):
+    path = tmp_path / "t.csv"
+    # an empty body is no parse error: the law itself refuses it
+    path.write_text("# fixture\nvalue,prob\n")
+    with pytest.raises(DomainError, match="non-empty"):
+        DiscreteLaw.from_csv(path)
+    path.write_text("# saturation=3\n0.0,0.0\n1.0,2.0\n")
+    with pytest.raises(DomainError, match="must start with the header"):
+        F.TableUtility.from_csv(path)
 
 
 def test_associated_power_is_power(rng):

@@ -340,6 +340,21 @@ def test_budget_is_lower_end_of_bracket(law, kernel):
     assert lo <= up + 1e-12 * max(1.0, abs(up))
 
 
+def test_bracket_ends_exact_on_large_laws(lognormal, rng):
+    # the lower end is budget bit for bit; the upper end is the mirror
+    # law's budget, negated, to rounding
+    kernels = (lognormal, TableKernel([0.0, 0.3, 0.8, 1.0], [0.2, 0.7, 1.3, 3.0]),
+               DiscreteKernel([0.5, 1.0, 1.5], [0.3, 0.4, 0.3]))
+    for n in (1, 40, 3000):
+        values = np.round(rng.normal(0.5, 3.0, n), 1)  # ties among the atoms
+        law = DiscreteLaw(values, rng.dirichlet(np.ones(n)))
+        mirror = DiscreteLaw(-values, law.probs)
+        for kernel in kernels:
+            lo, up = hardy_littlewood_check(kernel, law)
+            assert lo == budget(kernel, law)
+            assert abs(up + budget(kernel, mirror)) <= 1e-12 * max(1.0, abs(up))
+
+
 def test_hardy_littlewood_degenerate():
     k = DiscreteKernel([1.0], [1.0])
     law = DiscreteLaw([2.0, 5.0], [0.4, 0.6])
