@@ -69,6 +69,5 @@ from .optimizer import (
     QuantilePortfolio,
     SolveDiagnostics,
     SolveOptions,
-    lattice_oracle,
     solve,
 )

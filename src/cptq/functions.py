@@ -613,13 +613,11 @@ def write_table_csv(path, columns, rows, header_lines=()):
     ``repr(float(cell))`` (so infinities read back as ``inf``); every line
     ends in a bare line feed.
     """
+    lines = [f"# {line}" for line in header_lines] + [",".join(columns)]
+    lines += (",".join(str(v) if isinstance(v, (str, int)) else repr(float(v)) for v in row)
+              for row in rows)
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(str(v) if isinstance(v, (str, int)) else repr(float(v))
-                              for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 UTILITY_KINDS = {

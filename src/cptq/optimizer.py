@@ -24,18 +24,18 @@ profiles of the nearest swept multipliers on either side.  Before the
 forward pass, each cell's own best level in its band is found in one
 vectorized pass; where those levels are non-decreasing they are the least
 best profile (barring a tie in the rounded sums, which the pass detects),
-so the band collapses to one level per cell and the sweep costs one
-sequential sum.  Otherwise the forward pass runs over the band, at a cost
-that scales with its area.  The objective is not concave, so the best
-profile within budget may sit below the dual bound by a duality gap.
+and the pass, whose running sum of them is the sweep's best sum bit for
+bit, answers the sweep.  Otherwise the forward pass runs over the band, at
+a cost that scales with its area.  The objective is not concave, so the
+best profile within budget may sit below the dual bound by a duality gap.
 
 The dual minimiser barely moves with N, so a solve on many cells first
-solves on COARSE_CELLS cells over the same lattice and brackets lam by
-steps around the coarse minimiser instead of doubling up from 0.  In a
-sweep, a run of cells whose band is one level adds constants, summed in
-one pass; only cells with two or more levels cost numpy calls.  Since
-u(0) = 0, the payoff table is built from its halves: the gain term on the
-levels >= 0 and minus the loss term below.
+finds it alone on COARSE_CELLS cells, sharing the lattice and its level
+utilities, and brackets lam by steps around it instead of doubling up
+from 0.  In a sweep the pass does not answer, a run of cells whose band is
+one level adds constants, summed in one pass; only cells with two or more
+levels cost numpy calls.  Since u(0) = 0, the payoff table is built from
+its halves: the gain term on the levels >= 0, minus the loss term below.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class SolveOptions:
 class SolveDiagnostics:
     """Sweep trace and the certificate of the returned profile.
 
-    ``iterates`` counts the sweeps on the requested cells, not those of the
-    coarse solve that warm-starts the multiplier.  Each of them within budget
+    ``iterates`` counts the sweeps on the requested cells, not the coarse
+    sweeps that warm-start the multiplier.  Each of them within budget
     adds the running best value and its E[(X^-)^eta] to the traces; the
     traces' last entry is the returned profile.
     ``gap`` is ``bound - value`` (see ``solve``), negative when spending the
@@ -108,16 +108,14 @@ class QuantilePortfolio:
         q = np.asarray(q, dtype=float)
         if np.any(np.diff(q) < 0):
             raise ParameterError("quantile profile must be non-decreasing")
-        self.q = q
-        self.kernel = kernel
-        self.u_plus = u_plus
-        self.u_minus = u_minus
-        self.w_plus = w_plus
-        self.w_minus = w_minus
-        grid = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, q.size)
-        self.grid = grid.p_mid
-        self.cost = grid.cost(q)
-        self.cpt = grid.cpt(q)
+        self._on(_Grid(kernel, u_plus, u_minus, w_plus, w_minus, q.size), q)
+
+    def _on(self, grid, q):
+        """Take the profile ``q``, valued on ``grid``, a ``_Grid`` of its size."""
+        self.q, self.kernel, self.u_plus, self.u_minus = q, grid.kernel, grid.u_plus, grid.u_minus
+        self.w_plus, self.w_minus, self.grid = grid.w_plus, grid.w_minus, grid.p_mid
+        self.cost, self.cpt = grid.cost(q), grid.cpt(q)
+        return self
 
     @property
     def law(self):
@@ -128,15 +126,15 @@ class QuantilePortfolio:
         return _neg_moment(self.q, eta)
 
     def to_csv(self, path, header_lines=()):
-        write_table_csv(path, ("p", "q"), zip(self.grid, self.q), header_lines)
+        write_table_csv(path, ("p", "q"), zip(self.grid.tolist(), self.q.tolist()), header_lines)
 
 
 class _Grid:
     """Precomputed cell weights shared by all evaluations at one size N."""
 
     def __init__(self, kernel, u_plus, u_minus, w_plus, w_minus, n_cells):
-        self.u_plus = u_plus
-        self.u_minus = u_minus
+        self.kernel, self.u_plus, self.u_minus = kernel, u_plus, u_minus
+        self.w_plus, self.w_minus = w_plus, w_minus
         edges = np.arange(n_cells + 1) / n_cells
         self.p_mid = (np.arange(n_cells) + 0.5) / n_cells
         # cell i of the profile occupies kernel states (1 - i/N, 1 - (i-1)/N)
@@ -152,6 +150,16 @@ class _Grid:
 
     def cost(self, q):
         return float(np.dot(q, self.state_prices))
+
+    def payoff(self, gain_u, loss_u):
+        """f_i(l) on levels whose u+ is ``gain_u`` from 0 up, after levels
+        below 0 whose u-(-l) is ``loss_u``."""
+        zero = loss_u.size
+        payoff = np.empty((self.p_mid.size, zero + gain_u.size))
+        np.multiply.outer(self.gain_weights, gain_u, out=payoff[:, zero:])
+        losses = np.multiply.outer(self.loss_weights, loss_u, out=payoff[:, :zero])
+        np.subtract(0.0, losses, out=losses)
+        return payoff
 
     def value(self, q):
         return self.cpt(q).total
@@ -183,49 +191,29 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     if opts.q_min * grid.total_price > x0 + FEAS_TOL:
         raise InfeasibleError("cheapest admissible profile already exceeds the budget")
     diag = SolveDiagnostics()
+    levels = _lattice(x0, opts.q_min, opts.q_max)
+    utilities = (u_plus(levels[levels >= 0.0]), u_minus(-levels[levels < 0.0]))
 
     start = 0.0
     if n_cells >= 4 * COARSE_CELLS:
-        start = solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, COARSE_CELLS, opts)[1].multiplier
-    levels = _lattice(x0, opts.q_min, opts.q_max)
-    zero = int(np.searchsorted(levels, 0.0))
-    payoff = np.empty((n_cells, levels.size))
-    np.multiply.outer(grid.gain_weights, u_plus(levels[zero:]), out=payoff[:, zero:])
-    losses = np.multiply.outer(grid.loss_weights, u_minus(-levels[:zero]), out=payoff[:, :zero])
-    np.subtract(0.0, losses, out=losses)
+        coarse = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, COARSE_CELLS)
+        start = _warm_multiplier(coarse, levels, coarse.payoff(*utilities), x0)
+    payoff = grid.payoff(*utilities)
     best = (-math.inf, None)
-    floor = np.zeros(n_cells, dtype=np.intp)
-    ceiling = np.full(n_cells, levels.size - 1, dtype=np.intp)
     profiles = {}  # level indices of the profile of each swept multiplier
 
     def sweep(lam):
         nonlocal best
-        # the nearest larger multiplier's profile bounds this one from below,
-        # the nearest smaller one's from above.  Each profile lies in its own
-        # band, so the swept profiles stay ordered and every band is whole,
-        # rounding or not, whatever order the multipliers come in
-        above = min((m for m in profiles if m >= lam), default=None)
-        below = max((m for m in profiles if m <= lam), default=None)
-        lower = floor if above is None else profiles[above]
-        upper = ceiling if below is None else profiles[below]
-        neg_levels = -lam * levels
-        own = _own_best(payoff, grid.state_prices, neg_levels, lower, upper)
-        if own is not None:  # each cell at its own best level is the sweep's answer
-            lower = upper = own
-        top, idx = _sweep(payoff, grid.state_prices, neg_levels, lower, upper)
-        profiles[lam] = idx
+        top, swept = _lagrangian_sweep(grid, levels, payoff, profiles, lam, x0)
         diag.iterates += 1
         diag.bound = min(diag.bound, top + lam * x0)
-        q = levels[idx]
-        cost = grid.cost(q)
-        within = cost <= x0 + FEAS_TOL
-        if within:
-            value = grid.value(q)
+        if swept.within:
+            value = grid.value(swept.q)
             if value > best[0]:
-                best = (value, q)
+                best = (value, swept.q)
             diag.value_trace.append(best[0])
             diag.neg_moment_trace.append(_neg_moment(best[1], opts.eta_moment))
-        return _Swept(lam, q, cost, top + lam * cost, within)
+        return swept
 
     lo, hi = _multiplier_search(sweep, start)
 
@@ -236,18 +224,52 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
     if lo is not None:
         t = min((lo.cost - x0) / (lo.cost - hi.cost), 1.0)
         candidates.append((1.0 - t) * lo.q + t * hi.q)
-        cross = (lo.value - hi.value) / (lo.cost - hi.cost)
-        diag.multiplier = min(max(cross, lo.lam), hi.lam)
+    diag.multiplier = _dual_minimiser(lo, hi)
     value, q = max(((grid.value(c), c) for c in candidates), key=lambda vc: vc[0])
     diag.value_trace.append(value)
     diag.neg_moment_trace.append(_neg_moment(q, opts.eta_moment))
     diag.gap = diag.bound - value
     diag.converged = diag.gap <= GAP_RTOL * max(1.0, abs(value))
     diag.box_binds = bool(q[0] <= levels[0] or q[-1] >= levels[-1])
-    portfolio = QuantilePortfolio(q, kernel, u_plus, u_minus, w_plus, w_minus)
+    portfolio = QuantilePortfolio.__new__(QuantilePortfolio)._on(grid, q)
     if portfolio.cost > x0 + FEAS_TOL:
         raise InfeasibleError("returned profile violates the budget")  # pragma: no cover
     return portfolio, diag
+
+
+def _warm_multiplier(grid, levels, payoff, x0):
+    """The dual minimiser ``solve`` would report on ``grid``'s cells, found
+    by the same sweeps without valuing, tracing or returning a profile."""
+    profiles = {}
+    return _dual_minimiser(*_multiplier_search(
+        lambda lam: _lagrangian_sweep(grid, levels, payoff, profiles, lam, x0)[1]))
+
+
+def _lagrangian_sweep(grid, levels, payoff, profiles, lam, x0):
+    """The sweep at ``lam``, (best sum, ``_Swept``), its level indices added
+    to ``profiles``.  The nearest larger swept multiplier's profile bounds
+    it from below, the nearest smaller one's from above.  Each profile lies
+    in its own band, so the swept profiles stay ordered and every band is
+    whole, rounding or not, whatever order the multipliers come in."""
+    above = min((m for m in profiles if m >= lam), default=None)
+    below = max((m for m in profiles if m <= lam), default=None)
+    n, size = payoff.shape
+    lower = np.zeros(n, dtype=np.intp) if above is None else profiles[above]
+    upper = np.full(n, size - 1, dtype=np.intp) if below is None else profiles[below]
+    neg_levels = -lam * levels
+    top, idx = (_own_best(payoff, grid.state_prices, neg_levels, lower, upper)
+                or _sweep(payoff, grid.state_prices, neg_levels, lower, upper))
+    profiles[lam] = idx
+    q = levels[idx]
+    cost = grid.cost(q)
+    return top, _Swept(lam, q, cost, top + lam * cost, cost <= x0 + FEAS_TOL)
+
+
+def _dual_minimiser(lo, hi):
+    """Where the Lagrangian lines of the bracketing sweeps cross, clipped
+    into their multipliers; 0 when lam = 0 fits (``lo`` None)."""
+    return 0.0 if lo is None else min(max((lo.value - hi.value) / (lo.cost - hi.cost),
+                                          lo.lam), hi.lam)
 
 
 class _Swept(NamedTuple):
@@ -348,35 +370,40 @@ def _sweep(payoff, prices, neg_levels, lo, hi):
 
 
 def _own_best(payoff, prices, neg_levels, lo, hi):
-    """``_sweep``'s level indices, found without its forward pass, when they
-    are each cell's own first argmax l* of g[i, l] = prices[i] neg_levels[l]
-    + payoff[i, l] over its band ``[lo[i], hi[i]]``; None otherwise.
+    """``_sweep``'s answer (best sum, level indices), found without its
+    forward pass, when the indices are each cell's own first argmax l* of
+    g[i, l] = prices[i] neg_levels[l] + payoff[i, l] over its band
+    ``[lo[i], hi[i]]``; None otherwise.
 
     If l* is non-decreasing, no monotone path takes a larger g in any cell,
     and rounded addition is monotone in each term, so the running sums S of
-    g(l*) are the sweep's row maxima.  The traceback moves cell i below l*[i]
-    only where a lower level's row value reaches S[i] too.  That value is at
-    most S[i - 1] plus the cell's best g from l*[i - 1] up, or the previous
-    cell's such bound plus its best g below l*[i - 1]: l* is returned when
-    every bound stays below S.  A band with one side at the lattice's end is
-    searched over its bounding rectangle of levels, in blocks of rows, any
-    other band cell by cell.  Each g is the product and sum ``_sweep`` forms,
-    so the roundings agree.
+    g(l*) are the sweep's row maxima, the last its best sum by the very
+    operations ``_sweep`` uses on one-level bands.  The traceback moves cell
+    i below l*[i] only where a lower level's row value reaches S[i] too.
+    That value is at most S[i - 1] plus the cell's best g from l*[i - 1] up,
+    or the previous cell's such bound plus its best g below l*[i - 1]: l* is
+    returned when every bound stays below S.  A band with one side at the
+    lattice's end is searched in blocks of rows, each over its own bounding
+    rectangle of levels in one reused buffer, any other band cell by cell.
+    Each g is the product and sum ``_sweep`` forms, so the roundings agree.
     """
     n = lo.size
     at = np.empty(n + 1, dtype=np.intp)  # at[i + 1] is cell i's argmax
     at[0] = lo[0]
     lower, upper = np.empty(n), np.empty(n)  # best g below and above l*[i - 1]
     if lo[-1] == 0 or hi[0] == payoff.shape[1] - 1:
-        a, b = int(lo[0]), int(hi[-1]) + 1
-        rows = max(1, RECT_BLOCK // (b - a))
+        width = int(hi[-1] - lo[0]) + 1
+        rows = max(1, RECT_BLOCK // width)
+        buffer = np.empty(min(rows, n) * width)
         for s in range(0, n, rows):
-            g = np.multiply.outer(prices[s:s + rows], neg_levels[a:b])
-            g += payoff[s:s + rows, a:b]
-            at[s + 1:s + rows + 1] = a + g.argmax(axis=1)
+            e = min(s + rows, n)
+            a, b = int(lo[s]), int(hi[e - 1]) + 1  # the block's bounding rectangle
+            g = buffer[:(e - s) * (b - a)].reshape(e - s, b - a)
+            np.multiply.outer(prices[s:e], neg_levels[a:b], out=g)
+            g += payoff[s:e, a:b]
+            at[s + 1:e + 1] = a + g.argmax(axis=1)
             origin = np.arange(0, g.size, b - a) - a  # where each row's level 0 would sit
-            lower[s:s + rows], upper[s:s + rows] = _below_best(
-                g.ravel(), origin, lo[s:s + rows], at[s:s + rows + 1])
+            lower[s:e], upper[s:e] = _below_best(g.ravel(), origin, lo[s:e], at[s:e + 1])
     else:
         width = hi - lo + 1
         start = np.cumsum(width) - width
@@ -394,14 +421,13 @@ def _own_best(payoff, prices, neg_levels, lo, hi):
         return None
     sums = np.add.accumulate(prices * neg_levels[idx] + payoff[np.arange(n), idx])
     before = np.concatenate(([0.0], sums[:-1]))
-    if np.all(before + np.maximum(lower, upper) < sums):  # every lower V below S
-        return idx
-    bound = -math.inf  # the best V below l*, cell by cell
-    for s0, s1, low, up in zip(before.tolist(), sums.tolist(), lower.tolist(), upper.tolist()):
-        bound = max(s0 + up, bound + low)
-        if not bound < s1:
-            return None
-    return idx
+    if not np.all(before + np.maximum(lower, upper) < sums):  # some lower V may reach S
+        bound = -math.inf  # the best V below l*, cell by cell
+        for s0, s1, low, up in zip(before.tolist(), sums.tolist(), lower.tolist(), upper.tolist()):
+            bound = max(s0 + up, bound + low)
+            if not bound < s1:
+                return None
+    return float(sums[-1]), idx
 
 
 def _below_best(g, origin, lo, at):
@@ -431,26 +457,3 @@ def _raise_from_top(q, prices, slack, q_max):
 
 def _neg_moment(q, eta):
     return float(np.mean(np.maximum(-q, 0.0) ** eta))
-
-
-def lattice_oracle(kernel, u_plus, u_minus, w_plus, w_minus, x0, levels, n_cells):
-    """Exhaustive search over monotone profiles drawn from a level set.
-
-    Brute-force reference for small problems: enumerates all non-decreasing
-    ``n_cells``-tuples of ``levels``, discards the budget-infeasible ones,
-    and returns (best_value, best_profile).
-    """
-    from itertools import combinations_with_replacement
-
-    grid = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, n_cells)
-    best_v, best_q = -math.inf, None
-    for combo in combinations_with_replacement(sorted(levels), n_cells):
-        q = np.asarray(combo, dtype=float)
-        if grid.cost(q) > x0 + FEAS_TOL:
-            continue
-        v = grid.value(q)
-        if v > best_v:
-            best_v, best_q = v, q
-    if best_q is None:
-        raise InfeasibleError("no lattice profile satisfies the budget")
-    return best_v, best_q

@@ -14,6 +14,7 @@ from cptq.choquet import DiscreteLaw, cpt_value
 from cptq.errors import InfeasibleError, ParameterError
 from cptq.market import DiscreteKernel, LognormalKernel
 from cptq.optimizer import (
+    FEAS_TOL,
     QuantilePortfolio,
     SolveOptions,
     _Grid,
@@ -21,7 +22,6 @@ from cptq.optimizer import (
     _multiplier_search,
     _own_best,
     _sweep,
-    lattice_oracle,
     solve,
 )
 from conftest import registry_member
@@ -203,13 +203,15 @@ def band_argmax(payoff, prices, neg_levels, lo, hi):
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data(), n_cells=st.integers(1, 10), n_levels=st.integers(1, 7),
-       side=st.sampled_from(["floor", "ceiling", "both", "whole"]))
-def test_own_best_matches_sweep(data, n_cells, n_levels, side):
-    # when the helper collapses a band to each cell's own best level, the
-    # one-level sweep returns the band sweep's levels and its top bit for
-    # bit; where those levels are not monotone it declines.  Payoffs mix
-    # small integers (exact sums, many ties) with floats and with terms too
-    # small to move a sum of order 1 (rounding ties)
+       side=st.sampled_from(["floor", "ceiling", "both", "whole"]),
+       rect_block=st.sampled_from([optimizer.RECT_BLOCK, 1, 7, 16]))
+def test_own_best_matches_sweep(data, n_cells, n_levels, side, rect_block):
+    # when the helper answers, it returns the band sweep's levels and its
+    # top bit for bit; where each cell's own best levels are not monotone it
+    # declines.  Payoffs mix small integers (exact sums, many ties) with
+    # floats and with terms too small to move a sum of order 1 (rounding
+    # ties).  A small RECT_BLOCK splits an open band into blocks of one to a
+    # few rows, each searched over its own bounding rectangle
     def profile():
         return np.sort(data.draw(st.lists(st.integers(0, n_levels - 1),
                                           min_size=n_cells, max_size=n_cells)))
@@ -228,15 +230,17 @@ def test_own_best_matches_sweep(data, n_cells, n_levels, side):
     neg_levels = -np.sort(data.draw(st.lists(st.integers(-3, 3).map(float),
                                              min_size=n_levels, max_size=n_levels)))
     top, idx = _sweep(payoff, prices, neg_levels, lo, hi)
-    own = _own_best(payoff, prices, neg_levels, lo, hi)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(optimizer, "RECT_BLOCK", rect_block)
+        own = _own_best(payoff, prices, neg_levels, lo, hi)
     best = band_argmax(payoff, prices, neg_levels, lo, hi)
     if np.any(np.diff(best) < 0):
         assert own is None
     if own is not None:
-        np.testing.assert_array_equal(own, best)
-        one_top, one_idx = _sweep(payoff, prices, neg_levels, own, own)
-        np.testing.assert_array_equal(one_idx, idx)
-        assert np.float64(one_top).tobytes() == np.float64(top).tobytes()
+        own_top, own_idx = own
+        np.testing.assert_array_equal(own_idx, best)
+        np.testing.assert_array_equal(own_idx, idx)
+        assert np.float64(own_top).tobytes() == np.float64(top).tobytes()
 
 
 def test_own_best_declines_rounding_tie():
@@ -262,26 +266,55 @@ def test_own_best_takes_first_of_tied_levels():
     payoff = np.array([[0.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     args = (payoff, np.zeros(3), np.zeros(4))
     for lo, hi in (full_band(3, 4), (np.array([1, 1, 1]), np.array([2, 2, 2]))):
-        assert list(_own_best(*args, lo, hi)) == [1, 1, 2] == list(_sweep(*args, lo, hi)[1])
+        top, idx = _own_best(*args, lo, hi)
+        assert list(idx) == [1, 1, 2] == list(_sweep(*args, lo, hi)[1])
+        assert top == 4.0 == _sweep(*args, lo, hi)[0]
 
 
-def test_own_best_declines_outside_band():
-    # a band whose top is the lattice's is searched over its bounding
-    # rectangle, where cell 1's best level, 0, lies below its band [1, 2]:
-    # the helper declines although the best levels within the bands, [0, 2],
-    # are monotone
+def test_own_best_declines_outside_band(monkeypatch):
+    # a band whose top is the lattice's is searched over its block's
+    # bounding rectangle, where cell 1's best level, 0, lies below its band
+    # [1, 2]: the helper declines although the best levels within the
+    # bands, [0, 2], are monotone
     payoff = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
     args = (payoff, np.zeros(2), np.zeros(3))
     lo, hi = np.array([0, 1]), np.array([2, 2])
     assert list(band_argmax(*args, lo, hi)) == [0, 2]
     assert _own_best(*args, lo, hi) is None
     assert list(_sweep(*args, lo, hi)[1]) == [0, 2]
-    assert list(_own_best(*args, np.array([0, 0]), hi)) == [0, 0]
+    top, idx = _own_best(*args, np.array([0, 0]), hi)
+    assert (top, list(idx)) == (4.0, [0, 0])
+    # in blocks of one row, cell 1's rectangle is its band: the helper
+    # answers with the sweep's levels and top
+    monkeypatch.setattr(optimizer, "RECT_BLOCK", 1)
+    top, idx = _own_best(*args, lo, hi)
+    assert (top, list(idx)) == (2.0, [0, 2]) == (_sweep(*args, lo, hi)[0], [0, 2])
 
 
 def test_monotone_profile_required(lognormal):
     with pytest.raises(ParameterError):
         QuantilePortfolio(np.array([1.0, 0.5]), lognormal, U_EXP, ID_U, IDENT, IDENT)
+
+
+def lattice_oracle(kernel, u_plus, u_minus, w_plus, w_minus, x0, levels, n_cells):
+    """Exhaustive search over monotone profiles drawn from a level set.
+
+    Brute-force reference for small problems: enumerates all non-decreasing
+    ``n_cells``-tuples of ``levels``, discards the budget-infeasible ones,
+    and returns (best_value, best_profile).
+    """
+    grid = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, n_cells)
+    best_v, best_q = -math.inf, None
+    for combo in combinations_with_replacement(sorted(levels), n_cells):
+        q = np.asarray(combo, dtype=float)
+        if grid.cost(q) > x0 + FEAS_TOL:
+            continue
+        v = grid.value(q)
+        if v > best_v:
+            best_v, best_q = v, q
+    if best_q is None:
+        raise InfeasibleError("no lattice profile satisfies the budget")
+    return best_v, best_q
 
 
 def test_solve_risk_neutral_matches_oracle():
@@ -449,27 +482,64 @@ def test_warm_start_matches_cold_search(lognormal, monkeypatch):
 
 def test_crossing_search_sweep_count(lognormal, monkeypatch):
     # the coarse multiplier brackets lam in a few sweeps, then a few exact
-    # cuts, and on configs/optimize.cfg every cell of every sweep, the coarse
-    # solve's included, already sits at its own best level: no band wider
-    # than one level reaches the dynamic programme.  The cold doubling took
-    # 19 sweeps at N = 256, five of them over 40% of the lattice, and the
-    # bisection 52
-    widths = []
+    # cuts, and on configs/optimize.cfg every cell of every sweep, the warm
+    # start's included, already sits at its own best level: the own-best pass
+    # answers each sweep and the dynamic programme never runs.  The cold
+    # doubling took 19 sweeps at N = 256, five of them over 40% of the
+    # lattice, and the bisection 52
+    calls = {"_own_best": 0, "_sweep": 0}
 
-    def traced(payoff, prices, neg_levels, lo, hi):
-        widths.append((payoff.shape[0], int(np.max(hi - lo))))
-        return sweep(payoff, prices, neg_levels, lo, hi)
+    def counted(name):
+        original = getattr(optimizer, name)
 
-    sweep = optimizer._sweep
-    monkeypatch.setattr(optimizer, "_sweep", traced)
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(optimizer, name, counted(name))
     for n_cells in (64, 256, 2048):
-        widths.clear()
+        calls.update(_own_best=0, _sweep=0)
         _, diag = solve(lognormal, *OPT_PREFS, 1.0, n_cells=n_cells)
         assert diag.converged
-        assert diag.iterates == sum(n == n_cells for n, _ in widths)
-        assert all(width == 0 for _, width in widths), (n_cells, widths)
+        assert calls["_sweep"] == 0, (n_cells, calls)
+        assert calls["_own_best"] >= diag.iterates
         if n_cells == 256:
             assert diag.iterates <= 14
+
+
+def test_own_best_shortcut_never_changes_solve(lognormal, monkeypatch):
+    # with the own-best pass declining every sweep, each goes through the
+    # dynamic programme: the same multipliers are swept and every output
+    # agrees bit for bit, in and out of the existence regime
+    u_minus = F.PowerUtility(2.0)
+    cases = [(OPT_PREFS, SolveOptions()),
+             ((U_EXP, u_minus, IDENT, F.AssociatedDistortion(u_minus, 1.5)),
+              SolveOptions(q_min=-40.0))]
+    for prefs, opts in cases:
+        port, diag = solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "_own_best", lambda *args: None)
+            ref, ref_diag = solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
+        assert port.q.tobytes() == ref.q.tobytes()
+        for name in ("bound", "gap", "multiplier", "value_trace", "neg_moment_trace"):
+            assert getattr(diag, name) == getattr(ref_diag, name), name
+
+
+def test_solve_enters_solve_once(lognormal, monkeypatch):
+    # the warm start finds its multiplier without re-entering solve, so a
+    # caller that wraps solve sees one call and one (portfolio, diagnostics)
+    calls = []
+    original = optimizer.solve
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "solve", counted)
+    optimizer.solve(lognormal, *OPT_PREFS, 1.0, n_cells=256)
+    assert len(calls) == 1
 
 
 def test_crossing_search_stops_on_tie():
