@@ -33,12 +33,12 @@ class DiscreteLaw:
         probs = np.asarray(probs, dtype=float)
         if values.ndim != 1 or values.shape != probs.shape or values.size == 0:
             raise DomainError("need equal-length non-empty value/probability arrays")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise DomainError("atom values must be finite")
-        if not np.all(probs > 0.0):  # NaN is not positive either
+        if not (probs > 0.0).all():  # NaN is not positive either
             raise DomainError("atom probabilities must be positive")
-        if abs(float(np.sum(probs)) - 1.0) > PROB_TOL:
-            raise DomainError(f"probabilities sum to {np.sum(probs)}, not 1")
+        if abs(float(probs.sum()) - 1.0) > PROB_TOL:
+            raise DomainError(f"probabilities sum to {probs.sum()}, not 1")
         self.values = values
         self.probs = probs
 
@@ -132,34 +132,44 @@ def choquet_positive(law, utility, distortion):
     """Distorted valuation of a non-negative discrete payoff: an exact step sum."""
     if not isinstance(law, DiscreteLaw):
         raise DomainError(f"cannot value object of type {type(law).__name__}")
-    if np.any(law.values < 0.0):
+    if (law.values < 0.0).any():
         raise DomainError("law has negative support")
-    return _choquet_discrete(law, utility, distortion)
+    return _choquet_discrete(law.values, law.probs, utility, distortion)
 
 
-def _choquet_discrete(law, utility, distortion):
-    mask = law.values > 0.0
-    if not np.any(mask):
+def _choquet_discrete(values, probs, utility, distortion):
+    """Distorted valuation of max(X, 0) for atoms ``values`` with ``probs``:
+    the atoms at or below 0 add nothing, so no folded law is formed."""
+    mask = values > 0.0
+    if not mask.any():
         return 0.0
-    order = np.argsort(-law.values[mask], kind="stable")
-    vals = law.values[mask][order]
+    vals, probs = values[mask], probs[mask]
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
     # tail probability at (and above) each distinct level, summed from the top
     # in the oracle's order: a distortion steep at 1 (Prelec) turns one ulp of
     # a tail near 1 into ~1e-8 of value, so tied atoms must not be reordered
-    last = np.append(vals[1:] != vals[:-1], True)  # last atom of each tie group
+    last = np.concatenate((vals[1:] != vals[:-1], [True]))  # last atom of each tie group
     levels = vals[last][::-1]
-    tails = np.cumsum(law.probs[mask][order])[last][::-1]
-    if np.all(mask):
+    tails = np.cumsum(probs[order])[last][::-1]
+    if mask.all():
         tails[0] = 1.0  # the lowest level is sure: no rounding below 1
     u_levels = np.asarray(utility(levels), dtype=float)
     w_tails = np.minimum(np.asarray(distortion(np.minimum(tails, 1.0)), dtype=float), 1.0)
+    overflowed = 0.0
     if math.isinf(u_levels[-1]):  # the utility overflows at the top levels
-        bounded = u_levels < math.inf
-        if np.any(w_tails[~bounded] > 0.0):
-            return math.inf
-        u_levels, w_tails = u_levels[bounded], w_tails[bounded]  # no weight: 0 * inf = 0
-    du = np.diff(np.concatenate(([0.0], u_levels)))
-    return float(np.sum(du * w_tails))
+        # each overflowing increment u_i - u_(i-1) times its weight, formed in
+        # logs: a weight that is tiny, or underflows to 0, may leave it finite
+        top = u_levels == math.inf
+        lu = np.asarray(utility.log_eval(levels), dtype=float)
+        lw = np.asarray(distortion.log_eval(np.minimum(tails, 1.0)), dtype=float)
+        lu_below = np.concatenate(([-math.inf], lu[:-1]))
+        with np.errstate(all="ignore"):  # levels below the overflow are not read
+            log_terms = lu + np.log1p(-np.exp(lu_below - lu)) + np.minimum(lw, 0.0)
+            overflowed = float(np.exp(log_terms[top]).sum())
+        u_levels, w_tails = u_levels[~top], w_tails[~top]
+    du = u_levels - np.concatenate(([0.0], u_levels[:-1]))
+    return float((du * w_tails).sum()) + overflowed
 
 
 def choquet_oracle(law, utility, distortion):
@@ -184,15 +194,21 @@ def choquet_oracle(law, utility, distortion):
 
 
 def cpt_value(law, u_plus, u_minus, w_plus, w_minus):
-    """CPT value of a signed payoff law.
+    """CPT value of a signed payoff law, in one pass per side.
 
+    Each side is valued in place on the atoms of ``law`` (``law.values`` for
+    gains, ``-law.values`` for losses), with no folded law built per side.
     The gain side must be finite (it always is when the gain utility is
-    bounded); a loss side whose utility overflows yields total -inf.
+    bounded); a loss side that overflows yields total -inf.  Where the
+    utility overflows, each increment times its weight is formed in logs,
+    so a weight that underflows no longer hides the atom.
     """
-    v_plus = choquet_positive(law.positive_part(), u_plus, w_plus)
+    if not isinstance(law, DiscreteLaw):
+        raise DomainError(f"cannot value object of type {type(law).__name__}")
+    v_plus = _choquet_discrete(law.values, law.probs, u_plus, w_plus)
     if math.isinf(v_plus):
         raise DivergenceError(
             "gain-side valuation diverged; bounded gain utilities cannot produce this"
         )
-    v_minus = choquet_positive(law.negative_part(), u_minus, w_minus)
+    v_minus = _choquet_discrete(-law.values, law.probs, u_minus, w_minus)
     return CPTValue(v_plus=v_plus, v_minus=v_minus)

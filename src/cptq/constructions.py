@@ -42,11 +42,13 @@ def find_level(n, kernel, w_minus, u_minus, a_prev=None):
     below the previous level.
 
     Locates the admissible boundary (largest a below the cap satisfying the
-    strict inequality) by a halving scan plus bisection, then steps one
-    decade further down so the defining inequality holds with margin rather
-    than by a hair; the product need not be monotone, so the stepped-down
-    candidate is re-verified and pushed deeper if required.  The kernel
-    level b = q_rho(1 - a) then satisfies P{rho <= b} = 1 - a by
+    strict inequality) by a halving scan plus at most 80 geometric
+    bisection steps, which stop early once the midpoint rounds to either
+    end (each later step would repeat it, so the level is unchanged); then
+    steps one decade further down so the defining inequality holds with
+    margin rather than by a hair; the product need not be monotone, so the
+    stepped-down candidate is re-verified and pushed deeper if required.
+    The kernel level b = q_rho(1 - a) then satisfies P{rho <= b} = 1 - a by
     construction.
     """
     if n < 1:
@@ -76,6 +78,8 @@ def find_level(n, kernel, w_minus, u_minus, a_prev=None):
     if bad is not None:
         for _ in range(80):
             mid = math.sqrt(good) * math.sqrt(bad)  # the product underflows below 1e-154
+            if mid == good or mid == bad:  # a fixed point: every later step repeats it
+                break
             if log_product(mid) < target:
                 good = mid
             else:

@@ -36,10 +36,11 @@ _LOG_MAX = 700.0  # exp() overflows shortly above this
 
 
 def _eval(fn, x, lo=0.0, hi=math.inf, what="argument"):
-    """Validate the domain and apply ``fn``, preserving scalar-ness."""
+    """Check that every point lies in [lo, hi] (a NaN lies in none) and
+    apply ``fn``, preserving scalar-ness."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < lo) or np.any(arr > hi):
-        raise DomainError(f"{what} outside [{lo}, {hi}]")
+    if not ((arr >= lo) & (arr <= hi)).all():
+        raise DomainError(f"{what} must lie in [{lo}, {hi}] and not be NaN")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = fn(arr)
     if arr.ndim == 0:
@@ -454,13 +455,13 @@ class AssociatedDistortion(DistortionFunction):
         return _eval(self._log_arr, p, hi=1.0, what="probability")
 
     def _log_arr(self, arr):
-        with np.errstate(divide="ignore"):
-            inv = np.where(arr > 0.0, 1.0 / arr, math.inf)
-        lu = self.utility.log_eval(inv)
+        # under _eval's errstate 1/0 = inf, and log u(inf) = inf gives
+        # log w(0) = -inf and w(0) = exp(-inf) = 0
+        lu = self.utility.log_eval(1.0 / arr)
         return self.delta * (self._log_u1 - np.asarray(lu, dtype=float))
 
     def _raw(self, arr):
-        return np.where(arr == 0.0, 0.0, np.exp(self._log_arr(arr)))
+        return np.exp(self._log_arr(arr))
 
     def _params(self):
         return f"utility={self.utility!r}, delta={self.delta}"

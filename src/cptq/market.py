@@ -73,7 +73,7 @@ def _ndtr(x):
     t = s.ravel().tolist()
     out = 0.5 * np.fromiter(map(math.erfc, t), float, len(t)).reshape(x.shape)
     far = (s > _TAIL_FIX_FROM) & (s < math.inf)
-    if np.any(far):
+    if far.any():
         s, x = s[far], x[far]
         out[far] -= _INV_SQRT_PI * np.exp(-s * s) * _lost(x, s)
     return out
@@ -96,7 +96,7 @@ def _ndtri(p):
 def _states(x):
     """The kernel states ``x`` as an array; a NaN state raises."""
     x = np.asarray(x, dtype=float)
-    if np.any(np.isnan(x)):
+    if np.isnan(x).any():
         raise DomainError("kernel state must be a number, not NaN")
     return x
 
@@ -193,14 +193,14 @@ class LognormalKernel(PricingKernel):
 
     def quantile(self, p):
         p = np.asarray(p, dtype=float)
-        if not np.all((p > 0.0) & (p < 1.0)):
+        if not ((p > 0.0) & (p < 1.0)).all():
             raise DomainError("quantile level must lie in (0, 1)")
         out = np.exp(self.mu + self.sigma * _ndtri(p))
         return float(out) if p.ndim == 0 else out
 
     def quantile_upper(self, eps):
         eps = np.asarray(eps, dtype=float)
-        if not np.all((eps > 0.0) & (eps < 1.0)):
+        if not ((eps > 0.0) & (eps < 1.0)).all():
             raise DomainError("tail level must lie in (0, 1)")
         out = np.exp(self.mu - self.sigma * _ndtri(eps))
         return float(out) if eps.ndim == 0 else out
@@ -220,7 +220,7 @@ class LognormalKernel(PricingKernel):
 
     def tail_expectation(self, eps):
         eps = np.asarray(eps, dtype=float)
-        if not np.all((eps >= 0.0) & (eps <= 1.0)):
+        if not ((eps >= 0.0) & (eps <= 1.0)).all():
             raise DomainError("tail mass must lie in [0, 1]")
         # integral over the top eps of the distribution: Phi-bar(z(eps) - sigma)
         # with z(eps) = -Phi^-1(eps); Phi^-1 is -inf at 0 and inf at 1
@@ -248,7 +248,7 @@ def _piecewise_tail(edges, left, right, eps):
     right[i]; a step quantile has left == right.  Cells may have zero width.
     """
     eps = np.asarray(eps, dtype=float)
-    if not np.all((eps >= 0.0) & (eps <= 1.0)):
+    if not ((eps >= 0.0) & (eps <= 1.0)).all():
         raise DomainError("tail mass must lie in [0, 1]")
     widths = np.diff(edges)
     # above[i]: integral over cells i, i+1, ...; above[-1] = 0
@@ -515,7 +515,7 @@ def _cost(kernel, vals, edges, anti):
         masses = np.diff(kernel.tail_expectation(edges))
     else:
         masses = -np.diff(kernel.tail_expectation(1.0 - edges))
-    return float(np.sum(vals * masses))
+    return float((vals * masses).sum())
 
 
 def hardy_littlewood_check(kernel, law):

@@ -138,9 +138,23 @@ def test_cpt_value_several_overflowing_atoms():
         cpt_value(mirrored, F.PowerUtility(2.0), F.PowerUtility(2.0), IDENT, IDENT)
 
 
+def test_cpt_value_overflowing_atom_under_a_tiny_weight():
+    # u_minus(1e200) = 1e400 overflows; its increment times the weight is
+    # formed in logs, so a weight that underflows (1e-400) or is merely tiny
+    # (1e-300) leaves the product finite instead of 0 or inf
+    sq_u, sq_w = F.PowerUtility(2.0), F.PowerDistortion(2.0)
+    v = cpt_value(DiscreteLaw([-1e200, -1.0], [1e-200, 1.0]), sq_u, sq_u, sq_w, sq_w)
+    assert abs(v.v_minus - 2.0) <= 1e-12
+    v = cpt_value(DiscreteLaw([-1e200, -1.0], [1e-150, 1.0 - 1e-150]), sq_u, sq_u, sq_w, sq_w)
+    assert abs(v.v_minus - (1e100 + 1.0)) <= 1e-12 * 1e100
+
+
 def test_valuation_rejects_non_discrete_laws():
     with pytest.raises(DomainError, match="function"):
         choquet_positive(lambda p: p, ID_U, IDENT)
+    for law, name in ((lambda p: p, "function"), ([1.0, -1.0], "list")):
+        with pytest.raises(DomainError, match=name):
+            cpt_value(law, ID_U, ID_U, IDENT, IDENT)
 
 
 def test_sure_payoff_keeps_full_mass():
@@ -210,3 +224,20 @@ def test_cpt_value_matches_oracle_for_registry_kinds(law, u_plus, u_minus, w_plu
                             (value.v_minus, law.negative_part(), u_minus, w_minus)):
         want = choquet_oracle(side, u, w)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@example(law=DiscreteLaw([0.5, 3.0, 3.0, 40.0], [0.1, 0.2, 0.3, 0.4]), u_plus=F.LogUtility(),
+         u_minus=F.LogUtility(), w_plus=F.PrelecDistortion(1.0, 0.5), w_minus=IDENT)
+@example(law=DiscreteLaw([-3e5, -1e-3, 0.0, 2e-4, 7e6], [0.05, 0.25, 0.3, 0.3, 0.1]),
+         u_plus=F.PowerUtility(0.5), u_minus=F.PowerUtility(2.0),
+         w_plus=F.PowerDistortion(0.6), w_minus=F.PrelecDistortion(0.8, 0.4))
+@given(law=signed_laws(),
+       u_plus=registry_member(F.UTILITY_KINDS), u_minus=registry_member(F.UTILITY_KINDS),
+       w_plus=registry_member(F.DISTORTION_KINDS), w_minus=registry_member(F.DISTORTION_KINDS))
+def test_cpt_value_sides_match_the_folded_laws(law, u_plus, u_minus, w_plus, w_minus):
+    # the one signed pass values each side in place: bit for bit the value
+    # of the folded law max(X, 0) or max(-X, 0)
+    value = cpt_value(law, u_plus, u_minus, w_plus, w_minus)
+    assert value.v_plus.hex() == choquet_positive(law.positive_part(), u_plus, w_plus).hex()
+    assert value.v_minus.hex() == choquet_positive(law.negative_part(), u_minus, w_minus).hex()

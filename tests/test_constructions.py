@@ -1,12 +1,16 @@
 import math
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
+from cptq import cli
 from cptq import functions as F
 from cptq.constructions import (
     COST_TOL,
+    LEVEL_FLOOR,
+    LEVEL_MARGIN,
     LEVEL_TOL,
     build_element,
     demonstrate_nonattainability,
@@ -64,6 +68,71 @@ def test_find_level_pins_kernel_probability(kernel, prefs):
     _, u_minus, _, w_minus = prefs
     a, b = find_level(5, kernel, w_minus, u_minus)
     assert abs(kernel.cdf(b) - (1.0 - a)) < 1e-9
+
+
+def reference_find_level(n, kernel, w_minus, u_minus, a_prev=None):
+    """``find_level`` with all 80 bisection steps, the reference for its
+    early stop: a halving scan, then 80 geometric bisection steps."""
+    target = -math.log(n) - 1e-12
+
+    def log_product(a):
+        return float(w_minus.log_eval(a)) + float(u_minus.log_eval(1.0 / a))
+
+    good, bad, a = None, None, 0.5 if a_prev is None else a_prev * 0.999
+    while a > LEVEL_FLOOR:
+        if log_product(a) < target:
+            good = a
+            break
+        bad = a
+        a *= 0.5
+    if bad is not None:
+        for _ in range(80):
+            mid = math.sqrt(good) * math.sqrt(bad)
+            if log_product(mid) < target:
+                good = mid
+            else:
+                bad = mid
+    level = good * LEVEL_MARGIN
+    while log_product(level) >= target:
+        level *= 0.5
+    return level, float(kernel.quantile_upper(level))
+
+
+def _demo_config_market():
+    cfg = cli.load_config(pathlib.Path(__file__).parent.parent / "configs" / "demo_nonattain.cfg",
+                          environ={})
+    _, u_minus, _, w_minus = cli.build_preferences(cfg)
+    return cli.build_kernel(cfg), u_minus, w_minus
+
+
+def _log_associated_market():
+    # bench seed 13, instance 21: the bisection runs at every n >= 11
+    u_minus = F.LogUtility()
+    return LognormalKernel(0.1875), u_minus, F.AssociatedDistortion(u_minus, 1.574532)
+
+
+@pytest.mark.parametrize("market", [_demo_config_market, _log_associated_market])
+def test_find_level_early_stop_matches_full_bisection(market):
+    kernel, u_minus, w_minus = market()
+    calls = {"ref": 0, "fast": 0}
+
+    def counted(side):
+        def log_eval(a):
+            calls[side] += 1
+            return type(w_minus).log_eval(w_minus, a)
+        return log_eval
+
+    a_prev = None
+    for n in range(1, 33):
+        w_minus.log_eval = counted("fast")
+        got = find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)
+        w_minus.log_eval = counted("ref")
+        want = reference_find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)
+        assert [x.hex() for x in got] == [x.hex() for x in want], n
+        a_prev = got[0]
+    assert calls["fast"] <= calls["ref"]
+    if market is _log_associated_market:
+        assert calls["fast"] < calls["ref"] - 22 * 20  # >= 20 steps saved per bisection
 
 
 def test_find_level_balanced_power_fails(kernel):

@@ -302,6 +302,22 @@ def test_distortion_boundary_values():
             w(1.5)
 
 
+@pytest.mark.parametrize("x", [math.nan, np.array([0.5, math.nan])], ids=["scalar", "array"])
+def test_nan_rejected_by_every_evaluator(x):
+    sample = {"alpha": 2.0, "beta": 0.7, "shape": 0.5}
+    utilities = CATALOG + [F.normalize_utility(F.LogUtility())[0]]
+    assert {u.kind for u in utilities} == set(F.UTILITY_KINDS)
+    distortions = [cls(*(sample[name] for name in cls.params))
+                   for cls in F.DISTORTION_KINDS.values()]
+    distortions += [F.AssociatedDistortion(F.LogUtility(), 1.5),
+                    F.AssociatedDistortion(F.PowerUtility(2.0), 0.5)]
+    evaluators = [f for u in utilities for f in (u, u.log_eval, u.log_at_exp)]
+    evaluators += [f for w in distortions for f in (w, w.log_eval)]
+    for evaluate in evaluators:
+        with pytest.raises(DomainError, match="NaN"):
+            evaluate(x)
+
+
 def test_z_transform_log_power():
     z = F.z_transform(F.LogPowerUtility(3.0, 0.7))
     t = np.array([0.0, 1.0, 5.0, 1e3, 1e12])
