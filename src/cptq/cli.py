@@ -36,6 +36,7 @@ Exit codes: 0 success (a "not attainable" finding is a successful run),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -221,8 +222,7 @@ def _json_default(obj):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,8 @@ COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(
         prog="cptq",
         description="Prospect-theory portfolio experiments in a complete market",
@@ -387,7 +388,11 @@ def main(argv=None):
     parser.add_argument("--config", required=True, help="flat key=value config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="seed echoed in output headers")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -39,7 +39,8 @@ def _eval(fn, x, lo=0.0, hi=math.inf, what="argument"):
     """Check that every point lies in [lo, hi] (a NaN lies in none) and
     apply ``fn``, preserving scalar-ness."""
     arr = np.asarray(x, dtype=float)
-    if not ((arr >= lo) & (arr <= hi)).all():
+    inside = (arr >= lo) & (arr <= hi)  # a numpy bool, not an array, when arr is 0-d
+    if not (inside.all() if arr.ndim else inside):
         raise DomainError(f"{what} must lie in [{lo}, {hi}] and not be NaN")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = fn(arr)

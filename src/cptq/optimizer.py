@@ -21,13 +21,14 @@ non-decreasing profiles form a sublattice, so the least best profile is
 non-increasing in lam (Topkis, "Minimizing a submodular function on a
 lattice", Oper. Res. 1978): each sweep searches only the band between the
 profiles of the nearest swept multipliers on either side.  Before the
-forward pass, each cell's own best level in its band is found in one
-vectorized pass; where those levels are non-decreasing they are the least
-best profile (barring a tie in the rounded sums, which the pass detects),
-and the pass, whose running sum of them is the sweep's best sum bit for
-bit, answers the sweep.  Otherwise the forward pass runs over the band, at
-a cost that scales with its area.  The objective is not concave, so the
-best profile within budget may sit below the dual bound by a duality gap.
+forward pass, one vectorized pass gathers each band once, laid out flat,
+and finds each cell's own best level in it; where those are non-decreasing
+they are the least best profile (barring a tie in the rounded sums, which
+the pass detects), and the running sum of the band maxima, the sweep's
+best sum bit for bit (a zero as +0.0), answers the sweep.  Otherwise the
+forward pass runs over the band, at a cost that scales with its area.  The
+objective is not concave, so the best profile within budget may sit below
+the dual bound by a duality gap.
 
 The dual minimiser barely moves with N, so a solve on many cells first
 finds it alone on COARSE_CELLS cells, sharing the lattice and its level
@@ -327,7 +328,7 @@ def _lattice(x0, q_min, q_max):
 def _sweep(payoff, prices, neg_levels, lo, hi):
     """Best non-decreasing path through g[i, l] = prices[i] neg_levels[l] +
     payoff[i, l] with cell i's level index in ``[lo[i], hi[i]]``: (its sum,
-    level indices).
+    +0.0 if zero, level indices).
 
     ``lo`` and ``hi`` are non-decreasing with ``lo <= hi``.  Row i is built
     over its band only and holds the running prefix max of V_i, the best sum
@@ -366,7 +367,7 @@ def _sweep(payoff, prices, neg_levels, lo, hi):
     for i in reversed(wide):
         k = (hi[i] if i == n - 1 else min(idx[i + 1] + 1, hi[i])) - lo[i]
         idx[i] += int(rows[i][:k].argmax()) if k > 1 else 0
-    return float(row[-1]), np.array(idx, dtype=np.intp)
+    return float(row[-1]) + 0.0, np.array(idx, dtype=np.intp)
 
 
 def _own_best(payoff, prices, neg_levels, lo, hi):
@@ -377,67 +378,75 @@ def _own_best(payoff, prices, neg_levels, lo, hi):
 
     If l* is non-decreasing, no monotone path takes a larger g in any cell,
     and rounded addition is monotone in each term, so the running sums S of
-    g(l*) are the sweep's row maxima, the last its best sum by the very
-    operations ``_sweep`` uses on one-level bands.  The traceback moves cell
-    i below l*[i] only where a lower level's row value reaches S[i] too.
-    That value is at most S[i - 1] plus the cell's best g from l*[i - 1] up,
-    or the previous cell's such bound plus its best g below l*[i - 1]: l* is
-    returned when every bound stays below S.  A band with one side at the
-    lattice's end is searched in blocks of rows, each over its own bounding
-    rectangle of levels in one reused buffer, any other band cell by cell.
-    Each g is the product and sum ``_sweep`` forms, so the roundings agree.
+    the band maxima g(l*) are the sweep's row maxima, the last its best sum
+    by the very operations ``_sweep`` uses on one-level bands.  The
+    traceback moves cell i below l*[i] only where a lower level's row value
+    reaches S[i] too.  That value is at most S[i - 1] plus the cell's best g
+    from l*[i - 1] up, or the previous cell's such bound plus its best g
+    below l*[i - 1]: l* is returned when every bound stays below S.  A band
+    with one side at the lattice's end is searched in blocks of rows, each
+    over its own bounding rectangle of levels in one reused buffer, any
+    other band laid out flat, cell after cell, in one gather.  Each g is the
+    product and sum ``_sweep`` forms, so the roundings agree; a zero is +0.0.
     """
     n = lo.size
     at = np.empty(n + 1, dtype=np.intp)  # at[i + 1] is cell i's argmax
     at[0] = lo[0]
-    lower, upper = np.empty(n), np.empty(n)  # best g below and above l*[i - 1]
     if lo[-1] == 0 or hi[0] == payoff.shape[1] - 1:
         width = int(hi[-1] - lo[0]) + 1
         rows = max(1, RECT_BLOCK // width)
         buffer = np.empty(min(rows, n) * width)
+        top, lower, upper = np.empty((3, n))  # g(l*); best g below, above l*[i - 1]
         for s in range(0, n, rows):
             e = min(s + rows, n)
             a, b = int(lo[s]), int(hi[e - 1]) + 1  # the block's bounding rectangle
             g = buffer[:(e - s) * (b - a)].reshape(e - s, b - a)
-            np.multiply.outer(prices[s:e], neg_levels[a:b], out=g)
+            g[:] = neg_levels[a:b]
+            g *= prices[s:e, None]
             g += payoff[s:e, a:b]
+            origin = np.arange(-a, g.size - a, b - a)  # where each row's level 0 would sit
             at[s + 1:e + 1] = a + g.argmax(axis=1)
-            origin = np.arange(0, g.size, b - a) - a  # where each row's level 0 would sit
-            lower[s:e], upper[s:e] = _below_best(g.ravel(), origin, lo[s:e], at[s:e + 1])
+            end, g = origin + at[s + 1:e + 1], g.ravel()
+            top[s:e] = g[end]
+            lower[s:e], upper[s:e] = _below_best(g, origin + lo[s:e],
+                                                 origin + np.maximum(at[s:e], lo[s:e]), end)
+        if not ((lo <= at[1:]).all() and (at[1:] <= hi).all()):
+            return None
     else:
         width = hi - lo + 1
-        start = np.cumsum(width) - width
-        cell = np.repeat(np.arange(n), width)
-        level = np.arange(start[-1] + width[-1]) - start[cell] + lo[cell]
-        g = prices[cell] * neg_levels[level] + payoff[cell, level]
+        start = width.cumsum() - width  # where each cell's band starts in flat g
+        shift = lo - start
+        level = shift.repeat(width) + np.arange(start[-1] + width[-1])
+        g = prices.repeat(width) * neg_levels.take(level)
+        g += payoff.take(level + np.arange(0, payoff.size, payoff.shape[1]).repeat(width))
         top = np.maximum.reduceat(g, start)
         if np.isnan(top).any():
             return None
-        hits = np.flatnonzero(g == top[cell])
-        at[1:] = level[hits[np.searchsorted(hits, start)]]
-        lower[:], upper[:] = _below_best(g, start - lo, lo, at)
+        hits = (g == top.repeat(width)).nonzero()[0]
+        end = hits[hits.searchsorted(start)]
+        at[1:] = end + shift
+        lower, upper = _below_best(g, start, np.maximum(at[:-1] - shift, start), end)
     idx = at[1:]
-    if not (np.all(np.diff(idx) >= 0) and np.all(lo <= idx) and np.all(idx <= hi)):
+    if not (idx[:-1] <= idx[1:]).all():
         return None
-    sums = np.add.accumulate(prices * neg_levels[idx] + payoff[np.arange(n), idx])
+    sums = np.add.accumulate(top)
     before = np.concatenate(([0.0], sums[:-1]))
-    if not np.all(before + np.maximum(lower, upper) < sums):  # some lower V may reach S
+    if not (before + np.maximum(lower, upper) < sums).all():  # some lower V may reach S
         bound = -math.inf  # the best V below l*, cell by cell
         for s0, s1, low, up in zip(before.tolist(), sums.tolist(), lower.tolist(), upper.tolist()):
             bound = max(s0 + up, bound + low)
             if not bound < s1:
                 return None
-    return float(sums[-1]), idx
+    return float(sums[-1]) + 0.0, idx
 
 
-def _below_best(g, origin, lo, at):
-    """The best of flat ``g`` in each cell's levels ``[lo[i], c)`` and
-    ``[c, at[i + 1])``, c = ``at[i]`` clipped into that range; cell i's level
-    l sits at ``g[origin[i] + l]``.  -inf where a range is empty."""
-    c = np.clip(at[:-1], lo, at[1:])
-    ends = np.column_stack((lo, c, at[1:])) + origin[:, None]
-    best = np.maximum.reduceat(g, ends.ravel()).reshape(-1, 3)
-    return np.where(lo < c, best[:, 0], -np.inf), np.where(c < at[1:], best[:, 1], -np.inf)
+def _below_best(g, first, mid, end):
+    """The best of flat ``g`` over each cell's positions ``[first[i],
+    mid[i])`` and ``[mid[i], end[i])``, -inf where a range is empty."""
+    ends = np.empty(3 * first.size, dtype=np.intp)
+    ends[0::3], ends[1::3], ends[2::3] = first, mid, end
+    best = np.maximum.reduceat(g, ends)
+    return np.where(first < mid, best[0::3], -np.inf), np.where(mid < end, best[1::3], -np.inf)
 
 
 def _raise_from_top(q, prices, slack, q_max):

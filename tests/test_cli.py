@@ -211,6 +211,24 @@ def test_deterministic_outputs(tmp_path):
     assert (out1 / "nonattainability.csv").read_bytes() == (out2 / "nonattainability.csv").read_bytes()
 
 
+def test_commands_in_one_process_match_lone_runs(tmp_path, capsys):
+    # main builds its parser once per process: check then optimize in this
+    # process print and write what each prints and writes in a process alone
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parent.parent))
+    together = tmp_path / "together"
+    cli._parser.cache_clear()
+    for command, text in (("check", CHECK_CFG), ("optimize", OPT_CFG)):
+        cfg, alone = _write(tmp_path, f"{command}.cfg", text), tmp_path / command
+        proc = subprocess.run([sys.executable, "-m", "cptq.cli", command, "--config", cfg,
+                               "--out", str(alone)], capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert cli.main([command, "--config", cfg, "--out", str(together)]) == 0
+        assert capsys.readouterr().out == proc.stdout.replace(str(alone), str(together))
+        for path in alone.iterdir():
+            assert (together / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_output_headers_echo_config(tmp_path):
     cfg = _write(tmp_path, "o.cfg", OPT_CFG)
     out = tmp_path / "hdr"

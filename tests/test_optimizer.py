@@ -201,17 +201,19 @@ def band_argmax(payoff, prices, neg_levels, lo, hi):
                      for i, (a, b) in enumerate(zip(lo, hi))], dtype=np.intp)
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data(), n_cells=st.integers(1, 10), n_levels=st.integers(1, 7),
-       side=st.sampled_from(["floor", "ceiling", "both", "whole"]),
+@settings(max_examples=600, deadline=None)
+@given(data=st.data(), n_cells=st.integers(1, 12), n_levels=st.integers(1, 7),
+       side=st.sampled_from(["floor", "ceiling", "both", "whole", "runs"]),
        rect_block=st.sampled_from([optimizer.RECT_BLOCK, 1, 7, 16]))
 def test_own_best_matches_sweep(data, n_cells, n_levels, side, rect_block):
     # when the helper answers, it returns the band sweep's levels and its
     # top bit for bit; where each cell's own best levels are not monotone it
     # declines.  Payoffs mix small integers (exact sums, many ties) with
-    # floats and with terms too small to move a sum of order 1 (rounding
-    # ties).  A small RECT_BLOCK splits an open band into blocks of one to a
-    # few rows, each searched over its own bounding rectangle
+    # floats, signed zeros and terms too small to move a sum of order 1
+    # (rounding ties); float prices and levels give products that round.
+    # "runs" draws the cut phase's bands: runs of one-level cells beside a
+    # few wide ones.  A small RECT_BLOCK splits an open band into blocks of
+    # one to a few rows, each searched over its own bounding rectangle
     def profile():
         return np.sort(data.draw(st.lists(st.integers(0, n_levels - 1),
                                           min_size=n_cells, max_size=n_cells)))
@@ -220,15 +222,20 @@ def test_own_best_matches_sweep(data, n_cells, n_levels, side, rect_block):
         lo = np.zeros(n_cells)
     if side in ("ceiling", "whole"):
         hi = np.full(n_cells, n_levels - 1)
+    if side == "runs":
+        widths = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, n_levels]),
+                                    min_size=n_cells, max_size=n_cells))
+        hi = np.minimum(np.maximum.accumulate(lo + widths), n_levels - 1)
     lo, hi = lo.astype(np.intp), hi.astype(np.intp)
     value = st.one_of(st.integers(-2, 2).map(float), st.floats(-5.0, 5.0),
-                      st.sampled_from([1.0, 1e-17, -1e-17, 2.0 ** -53]))
+                      st.sampled_from([1.0, 1e-17, -1e-17, 2.0 ** -53, -0.0]))
     payoff = np.array(data.draw(st.lists(value, min_size=n_cells * n_levels,
                                          max_size=n_cells * n_levels))).reshape(n_cells, n_levels)
-    prices = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+    prices = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
+                                                   st.floats(0.0, 2.0)),
                                          min_size=n_cells, max_size=n_cells)))
-    neg_levels = -np.sort(data.draw(st.lists(st.integers(-3, 3).map(float),
-                                             min_size=n_levels, max_size=n_levels)))
+    level = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0), st.just(-0.0))
+    neg_levels = -np.sort(data.draw(st.lists(level, min_size=n_levels, max_size=n_levels)))
     top, idx = _sweep(payoff, prices, neg_levels, lo, hi)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(optimizer, "RECT_BLOCK", rect_block)
@@ -241,6 +248,16 @@ def test_own_best_matches_sweep(data, n_cells, n_levels, side, rect_block):
         np.testing.assert_array_equal(own_idx, best)
         np.testing.assert_array_equal(own_idx, idx)
         assert np.float64(own_top).tobytes() == np.float64(top).tobytes()
+
+
+def test_zero_best_sum_is_positive_zero():
+    # g is [0, 0, 0, -0.0]: the sweep's running max ends on the -0.0 of a
+    # tie, the own-best pass on the +0.0 of level 0; both return +0.0
+    args = (np.array([[0.0, 0.0, 0.0, -0.0]]), np.zeros(1),
+            np.array([-0.0, -0.0, 0.0, -0.0]), np.array([0]), np.array([3]))
+    for fn in (_sweep, _own_best):
+        top, idx = fn(*args)
+        assert (np.float64(top).tobytes(), list(idx)) == (np.float64(0.0).tobytes(), [0])
 
 
 def test_own_best_declines_rounding_tie():
