@@ -172,6 +172,17 @@ def _choquet_discrete(values, probs, utility, distortion):
     return float((du * w_tails).sum()) + overflowed
 
 
+def atom_value(z, p, utility, distortion):
+    """min(w(p), 1) u(z) for an atom z > 0 of probability p < 1, exp(log u + min(log w, 0))
+    where u overflows: ``_choquet_discrete``'s value, bit for bit (z and p are the
+    one-element arrays it passes, z a reversed view, so numpy runs the same loops)."""
+    z, p = np.array([z])[::-1], np.array([p])
+    u = float(utility(z)[0])
+    if math.isinf(u):  # in logs: a tiny weight may leave the product finite
+        return float(np.exp(utility.log_eval(z) + np.minimum(distortion.log_eval(p), 0.0))[0])
+    return u * min(float(distortion(p)[0]), 1.0) + 0.0
+
+
 def choquet_oracle(law, utility, distortion):
     """Independent valuation path for discrete laws, used to cross-check.
 

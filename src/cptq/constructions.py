@@ -15,6 +15,8 @@ with P(A_n) = 1 - a_n pinned through the kernel quantile b_n = q_rho(1-a_n)
 and the level a_n chosen so that w_minus(a_n) u_minus(1/a_n) < 1/n.  Here
 Q(A) = E[rho; A] is the state-price mass of A and Q(A_n) = E[rho] - Q(A_n^c),
 so Z_n costs b_n/2 - (b_n - 2 x0)/2 = x0; the kernel need not have unit mean.
+Z_n is valued and priced in closed form: V_plus = w_plus(1 - a_n) u_plus(x_n) and V_minus =
+w_minus(a_n) u_minus(y_n) by ``choquet.atom_value``, cost -y_n Q(A_n^c) + x_n Q(A_n).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .attainability import ConditionVerdict, regime
-from .choquet import DiscreteLaw, cpt_value
+from .choquet import CPTValue, DiscreteLaw, atom_value
 from .errors import ConstructionError, LevelTooLowError
 from .functions import write_table_csv
 from .market import budget
@@ -95,7 +97,7 @@ def find_level(n, kernel, w_minus, u_minus, a_prev=None):
 
 @dataclass
 class SequenceElement:
-    """One payoff of the value-climbing sequence with its diagnostics."""
+    """One payoff of the value-climbing sequence; ``law`` is built on read."""
 
     n: int
     a_n: float
@@ -103,10 +105,10 @@ class SequenceElement:
     q_event: float  # state-price mass E[rho; A_n] of the gain event (not normalized)
     x_atom: float
     y_atom: float
-    law: DiscreteLaw
-    cpt: object
+    cpt: CPTValue
     cost: float
     level_gap: float  # distance from the requested level; nonzero only for kernels with atoms
+    law = property(lambda el: DiscreteLaw([el.x_atom, -el.y_atom], [1.0 - el.a_n, el.a_n]))
 
     @property
     def v_plus(self):
@@ -129,6 +131,7 @@ def build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0, level):
     one (the survival probability of the kernel level b) is used instead and
     the adjustment size recorded in ``level_gap``.  The gain event is priced
     with the kernel's own mean, Q(A_n) = E[rho] - Q(A_n^c), which need not be 1.
+    Value and cost take the module docstring's closed forms; no law is built.
     """
     a, b = level
     if b <= 2.0 * x0:
@@ -159,15 +162,13 @@ def build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0, level):
 
     x_atom = b / (2.0 * q_event)
     y_atom = (b - 2.0 * x0) / (2.0 * tail)
-    law = DiscreteLaw([x_atom, -y_atom], [1.0 - a, a])
-    cpt = cpt_value(law, u_plus, u_minus, w_plus, w_minus)
-    cost = budget(kernel, law)
-    if abs(cost - x0) > COST_TOL:
+    cpt = CPTValue(atom_value(x_atom, 1.0 - a, u_plus, w_plus),
+                   atom_value(y_atom, a, u_minus, w_minus))
+    cost = -y_atom * tail + x_atom * q_event  # budget's cells: (0, a) and (a, 1)
+    if not abs(cost - x0) <= COST_TOL:  # a NaN cost (no law checks the atoms) fails too
         raise ConstructionError(f"cost {cost} deviates from capital {x0}")
-    return SequenceElement(
-        n=n, a_n=a, b_n=b, q_event=q_event, x_atom=x_atom, y_atom=y_atom,
-        law=law, cpt=cpt, cost=cost, level_gap=level_gap,
-    )
+    return SequenceElement(n=n, a_n=a, b_n=b, q_event=q_event, x_atom=x_atom, y_atom=y_atom,
+                           cpt=cpt, cost=cost, level_gap=level_gap)
 
 
 @dataclass
@@ -289,4 +290,6 @@ def demonstrate_nonattainability(kernel, u_plus, u_minus, w_plus, w_minus, x0,
             f"no element was feasible up to n_max={n_max}; capital too large "
             "for the kernel levels reached"
         )
+    if abs(budget(kernel, report.elements[-1].law) - x0) > COST_TOL:  # the one final_gap reads
+        raise ConstructionError(f"the last element does not cost the capital {x0}")
     return report

@@ -7,6 +7,7 @@ import pytest
 
 from cptq import cli
 from cptq import functions as F
+from cptq.choquet import choquet_oracle, cpt_value
 from cptq.constructions import (
     COST_TOL,
     LEVEL_FLOOR,
@@ -224,10 +225,7 @@ def test_refuses_unbounded_gains(kernel, prefs):
 def test_flat_kernel_level_flagged():
     # a kernel with an atom cannot realize every level exactly; the nearest
     # achievable one is used and the mismatch reported
-    k = TableKernel(
-        [0.0, 0.6, 0.999, 0.9999, 1.0],
-        [0.5, 2.5, 2.5, 6.0, 8.0],
-    )
+    k = _flat_kernel()
     w = F.PrelecDistortion(1.0, 0.5)
     rep = demonstrate_nonattainability(
         k, F.ExponentialUtility(1.0), F.LogUtility(), w, w, x0=1.0,
@@ -245,6 +243,86 @@ def test_flat_kernel_level_flagged():
     for el in rep.elements:
         assert abs(el.cost - 1.0) <= COST_TOL
         assert abs(budget(k, el.law) - 1.0) <= COST_TOL
+
+
+def _flat_kernel():
+    # the atom kernel of test_flat_kernel_level_flagged, mean about 1.90
+    return TableKernel([0.0, 0.6, 0.999, 0.9999, 1.0], [0.5, 2.5, 2.5, 6.0, 8.0])
+
+
+def _closed_form_market(kind):
+    """(kernel, u_plus, u_minus, w_plus, w_minus, n_max, gap_tol) of one
+    construction the closed-form element values are checked on."""
+    u_plus, prelec = F.ExponentialUtility(1.0), F.PrelecDistortion(1.0, 0.5)
+    if kind == "demo_config":
+        cfg = cli.load_config(pathlib.Path(__file__).parent.parent / "configs"
+                              / "demo_nonattain.cfg", environ={})
+        return (cli.build_kernel(cfg), *cli.build_preferences(cfg), 32, 0.05)
+    if kind == "flat_kernel":
+        return _flat_kernel(), u_plus, F.LogUtility(), prelec, prelec, 3, 1.0
+    if kind == "gain_weight_above_one":
+        # a table distortion may end within 1e-12 above 1: w_plus(1 - a_n) > 1 is clamped
+        w_plus = F.TableDistortion([0.0, 0.5, 1.0], [0.0, 0.5, 1.0 + 5e-13])
+        return LognormalKernel(0.2), u_plus, F.LogUtility(), w_plus, prelec, 32, 0.05
+    u_minus, delta = {
+        # u_minus(y_n) overflows from n = 9 on; at n = 2 u_minus(y_n) on a
+        # contiguous array is one ulp off the reversed view cpt_value reads
+        "power": (F.PowerUtility(2.5), 1.003),
+        "logarithmic": (F.LogUtility(), 1.574532),
+        "log_power": (F.LogPowerUtility(1.2, 0.6), 1.6),
+    }[kind]
+    return (LognormalKernel(0.3), u_plus, u_minus, F.IdentityDistortion(),
+            F.AssociatedDistortion(u_minus, delta), 32, 0.05)
+
+
+@pytest.mark.parametrize("kind", ["demo_config", "power", "logarithmic", "log_power",
+                                  "flat_kernel", "gain_weight_above_one"])
+def test_closed_form_elements_match_valuation_and_pricing(kind):
+    # each element's closed forms against the library's one valuation path,
+    # the oracle and the one pricing path
+    kernel, *prefs, n_max, gap_tol = _closed_form_market(kind)
+    u_plus, u_minus, w_plus, w_minus = prefs
+    rep = demonstrate_nonattainability(kernel, *prefs, x0=1.0, n_max=n_max, gap_tol=gap_tol)
+    assert rep.elements
+    overflowed = 0
+    for el in rep.elements:
+        law = el.law
+        ref = cpt_value(law, *prefs)
+        assert el.cpt.v_plus.hex() == ref.v_plus.hex(), el.n
+        assert el.cpt.v_minus.hex() == ref.v_minus.hex(), el.n
+        assert el.cost.hex() == budget(kernel, law).hex(), el.n
+        if math.isinf(u_minus(el.y_atom)):  # the oracle multiplies u itself
+            overflowed += 1
+            continue
+        oracle = (choquet_oracle(law.positive_part(), u_plus, w_plus)
+                  - choquet_oracle(law.negative_part(), u_minus, w_minus))
+        assert abs(el.value - oracle) <= 1e-12, el.n
+    assert (overflowed > 0) == (kind == "power")
+    clamped = any(w_plus(1.0 - el.a_n) > 1.0 for el in rep.elements)
+    assert clamped == (kind == "gain_weight_above_one")
+
+
+def test_demo_config_golden_rows(tmp_path):
+    # rows of nonattainability.csv for configs/demo_nonattain.cfg; n = 1 is
+    # skipped (its kernel level is below twice the capital), n = 2 is the first
+    cfg = pathlib.Path(__file__).parent.parent / "configs" / "demo_nonattain.cfg"
+    assert cli.main(["demo-nonattain", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    lines = [ln for ln in (tmp_path / "nonattainability.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    rows = {int(ln.split(",")[0]): [float(v) for v in ln.split(",")[1:]] for ln in lines[1:]}
+    assert min(rows) == 2 and max(rows) == 32
+    golden = {  # n: a_n, b_n, V_plus, V_minus, V
+        2: (0.00010524571945120782, 2.0569331178765085, 0.6359706587627518,
+            0.23458103577130995, 0.4013896229914419),
+        16: (8.603735338159217e-23, 6.899242226211219, 0.9682423333374397,
+             0.03991988460791787, 0.9283224487295219),
+        32: (8.467103218518749e-39, 13.131619095879085, 0.9985923160980965,
+             0.007450773426868764, 0.9911415426712278),
+    }
+    for n, (a_n, b_n, *values) in golden.items():
+        assert rows[n][:2] == [a_n, b_n], n
+        for got, want in zip(rows[n][2:5], values):
+            assert abs(got - want) <= 1e-15 * abs(want), n
 
 
 def test_report_csv_and_svg(tmp_path, demo_report):

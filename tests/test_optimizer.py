@@ -146,7 +146,8 @@ def test_band_sweep_matches_full_band(data, n_cells, n_levels):
 
 
 def reference_sweep(payoff, prices, neg_levels, lo, hi):
-    """Row-by-row band sweep that the folded one-level runs replaced."""
+    """Row-by-row band sweep that the folded one-level runs replaced; like
+    ``_sweep`` it returns its sum as +0.0 when that sum is zero."""
     lo, hi = lo.tolist(), (hi + 1).tolist()
     rows = []
     for i, (a, b, price) in enumerate(zip(lo, hi, prices.tolist())):
@@ -168,7 +169,7 @@ def reference_sweep(payoff, prices, neg_levels, lo, hi):
         k = min(j + 1, hi[i - 1]) - lo[i - 1]
         j = lo[i - 1] + (int(rows[i - 1][:k].argmax()) if k > 1 else 0)
         idx[i - 1] = j
-    return float(rows[-1][-1]), idx
+    return float(rows[-1][-1]) + 0.0, idx
 
 
 @settings(max_examples=300, deadline=None)
@@ -193,6 +194,16 @@ def test_folded_sweep_matches_row_sweep(data, n_cells, n_levels):
     want_top, want = reference_sweep(payoff, prices, neg_levels, lo, hi)
     np.testing.assert_array_equal(idx, want)
     assert np.float64(top).tobytes() == np.float64(want_top).tobytes()
+
+
+def test_folded_sweep_zero_sum_is_positive_zero():
+    # one cell, one level: g = 0.0 * -0.0 + -0.0 = -0.0, returned as +0.0
+    args = (np.array([[-0.0]]), np.array([0.0]), np.array([-0.0]),
+            np.array([0], dtype=np.intp), np.array([0], dtype=np.intp))
+    top, idx = _sweep(*args)
+    want_top, want = reference_sweep(*args)
+    np.testing.assert_array_equal(idx, want)
+    assert np.float64(top).tobytes() == np.float64(want_top).tobytes() == np.float64(0.0).tobytes()
 
 
 def band_argmax(payoff, prices, neg_levels, lo, hi):
