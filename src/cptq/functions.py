@@ -5,18 +5,20 @@ explicit (possibly infinite) upper limit ``saturation``.  Distortions are
 strictly increasing maps of [0, 1] onto itself.  All objects are immutable
 after construction and vectorized over numpy arrays.
 
-Each function has one formula, ``_raw``, which evaluates an already
-validated array; ``__call__`` validates the domain and then calls it.  Each
-parametric class declares its constructor arguments once, in ``params``;
+Every utility has three public evaluators, a distortion the first two:
+``__call__`` (the value), ``log_eval`` (its log, computed without forming
+huge intermediates) and ``log_at_exp(t)`` = log(u(e^t)), the growth
+transform, stable for t far beyond the overflow range of e^t.
+
+Only the base classes validate: each evaluator checks its argument once, in
+``_eval``, and hands the checked array to a formula.  A subclass declares
+``_raw`` (the value) and, where a stabler form exists, ``_log``,
+``_log_exp`` and ``_inverse`` (on the targets ``inverse`` has checked); the
+defaults derive the log forms from ``_raw``.  A formula calls formulas,
+never a public evaluator, so nothing is validated twice.  Each parametric
+class declares its constructor arguments once, in ``params``;
 ``UTILITY_KINDS`` and ``DISTORTION_KINDS`` map every parametric ``kind`` to
 its class, and the CLI builds preferences from them.
-
-Every utility also exposes two log-scale evaluators that the asymptotic
-checkers rely on:
-
-* ``log_eval(x)``  = log(u(x)), computed without forming huge intermediates,
-* ``log_at_exp(t)`` = log(u(e^t)), the growth transform, stable for t far
-  beyond the overflow range of e^t.
 """
 
 from __future__ import annotations
@@ -70,26 +72,16 @@ class UtilityFunction:
     def __call__(self, x):
         return _eval(self._raw, x)
 
-    def inverse(self, y):
-        raise NotImplementedError
-
     def log_eval(self, x):
         """log(u(x)); -inf where u(x) = 0."""
-        return _eval(lambda a: np.log(self._raw(a)), x, what="utility argument")
+        return _eval(self._log, x, what="utility argument")
 
     def log_at_exp(self, t):
         """log(u(e^t)) for t >= 0, the growth transform of the utility."""
-        def f(a):
-            if np.any(a > _LOG_MAX):
-                raise DomainError("e^t overflows and no stable form is available")
-            return np.log(self._raw(np.exp(a)))
-        return _eval(f, t, what="transform argument")
+        return _eval(self._log_exp, t, what="transform argument")
 
-    def _raw(self, arr):
-        """The utility's one formula, on an array ``_eval`` has validated."""
-        raise NotImplementedError
-
-    def _check_inverse_domain(self, y):
+    def inverse(self, y):
+        """The x >= 0 with u(x) = y, for 0 <= y < saturation."""
         arr = np.asarray(y, dtype=float)
         if np.any(arr < 0):
             raise DomainError("inversion target must be non-negative")
@@ -97,7 +89,24 @@ class UtilityFunction:
             raise SaturationError(
                 f"target {np.max(arr)} not attained; upper limit is {self.saturation}"
             )
-        return arr
+        with np.errstate(divide="ignore"):
+            out = self._inverse(arr)
+        return float(out) if arr.ndim == 0 else out
+
+    def _raw(self, arr):
+        """The utility's one formula, on an array ``_eval`` has validated."""
+        raise NotImplementedError
+
+    def _log(self, arr):
+        return np.log(self._raw(arr))
+
+    def _log_exp(self, arr):
+        if np.any(arr > _LOG_MAX):
+            raise DomainError("e^t overflows and no stable form is available")
+        return np.log(self._raw(np.exp(arr)))
+
+    def _inverse(self, arr):
+        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}({self._params()})"
@@ -121,33 +130,25 @@ class PowerUtility(UtilityFunction):
         self.alpha = float(alpha)
         self.saturation = math.inf if alpha > 0 else 1.0
 
-    def inverse(self, y):
-        arr = self._check_inverse_domain(y)
-        with np.errstate(divide="ignore"):
-            if self.alpha > 0:
-                out = arr ** (1.0 / self.alpha)
-            else:
-                out = np.expm1(np.log1p(-arr) / self.alpha)
-        return float(out) if arr.ndim == 0 else out
-
-    def log_eval(self, x):
-        if self.alpha > 0:
-            return _eval(lambda a: self.alpha * np.log(a), x)
-        return _eval(
-            lambda a: np.log(-np.expm1(self.alpha * np.log1p(a))), x
-        )
-
-    def log_at_exp(self, t):
-        if self.alpha > 0:
-            return _eval(lambda a: self.alpha * a, t)
-        return _eval(
-            lambda a: np.log(-np.expm1(self.alpha * _log1p_exp(a))), t
-        )
-
     def _raw(self, arr):
         if self.alpha > 0:
             return arr ** self.alpha
         return -np.expm1(self.alpha * np.log1p(arr))
+
+    def _log(self, arr):
+        if self.alpha > 0:
+            return self.alpha * np.log(arr)
+        return np.log(-np.expm1(self.alpha * np.log1p(arr)))
+
+    def _log_exp(self, arr):
+        if self.alpha > 0:
+            return self.alpha * arr
+        return np.log(-np.expm1(self.alpha * _log1p_exp(arr)))
+
+    def _inverse(self, arr):
+        if self.alpha > 0:
+            return arr ** (1.0 / self.alpha)
+        return np.expm1(np.log1p(-arr) / self.alpha)
 
 
 class ExponentialUtility(UtilityFunction):
@@ -162,25 +163,20 @@ class ExponentialUtility(UtilityFunction):
             raise DomainError("exponential utility needs alpha > 0")
         self.alpha = float(alpha)
 
-    def inverse(self, y):
-        arr = self._check_inverse_domain(y)
-        out = -np.log1p(-arr) / self.alpha
-        return float(out) if arr.ndim == 0 else out
-
-    def log_at_exp(self, t):
-        def f(a):
-            e = np.exp(np.minimum(a, _LOG_MAX))
-            z = self.alpha * e
-            # u(e^t) -> 1 once alpha*e^t is huge, so log u -> 0
-            return np.where(
-                (a > _LOG_MAX) | (z > 700.0),
-                0.0,
-                np.log(-np.expm1(-np.minimum(z, 700.0))),
-            )
-        return _eval(f, t)
-
     def _raw(self, arr):
         return -np.expm1(-self.alpha * arr)
+
+    def _log_exp(self, arr):
+        z = self.alpha * np.exp(np.minimum(arr, _LOG_MAX))
+        # u(e^t) -> 1 once alpha*e^t is huge, so log u -> 0
+        return np.where(
+            (arr > _LOG_MAX) | (z > 700.0),
+            0.0,
+            np.log(-np.expm1(-np.minimum(z, 700.0))),
+        )
+
+    def _inverse(self, arr):
+        return -np.log1p(-arr) / self.alpha
 
 
 class LogUtility(UtilityFunction):
@@ -188,16 +184,14 @@ class LogUtility(UtilityFunction):
 
     kind = "logarithmic"
 
-    def inverse(self, y):
-        arr = self._check_inverse_domain(y)
-        out = np.expm1(arr)
-        return float(out) if arr.ndim == 0 else out
-
-    def log_at_exp(self, t):
-        return _eval(lambda a: np.log(_log1p_exp(a)), t)
-
     def _raw(self, arr):
         return np.log1p(arr)
+
+    def _log_exp(self, arr):
+        return np.log(_log1p_exp(arr))
+
+    def _inverse(self, arr):
+        return np.expm1(arr)
 
 
 class LogLogUtility(UtilityFunction):
@@ -205,16 +199,14 @@ class LogLogUtility(UtilityFunction):
 
     kind = "loglog"
 
-    def inverse(self, y):
-        arr = self._check_inverse_domain(y)
-        out = np.expm1(np.expm1(arr))
-        return float(out) if arr.ndim == 0 else out
-
-    def log_at_exp(self, t):
-        return _eval(lambda a: np.log(np.log1p(_log1p_exp(a))), t)
-
     def _raw(self, arr):
         return np.log1p(np.log1p(arr))
+
+    def _log_exp(self, arr):
+        return np.log(np.log1p(_log1p_exp(arr)))
+
+    def _inverse(self, arr):
+        return np.expm1(np.expm1(arr))
 
 
 class LogPowerUtility(UtilityFunction):
@@ -237,31 +229,23 @@ class LogPowerUtility(UtilityFunction):
         self.alpha = float(alpha)
         self.shape = float(shape)
 
-    def inverse(self, y):
-        arr = self._check_inverse_domain(y)
-        with np.errstate(divide="ignore"):
-            ly = np.log(arr)
-        out = np.where(
+    def _raw(self, arr):
+        return np.exp(self._log(arr))
+
+    def _log(self, arr):
+        lx = np.log(arr)
+        return self.alpha * np.sign(lx) * np.abs(lx) ** self.shape
+
+    def _log_exp(self, arr):
+        return self.alpha * arr ** self.shape
+
+    def _inverse(self, arr):
+        ly = np.log(arr)
+        return np.where(
             arr == 0.0,
             0.0,
             np.exp(np.sign(ly) * np.abs(ly / self.alpha) ** (1.0 / self.shape)),
         )
-        return float(out) if arr.ndim == 0 else out
-
-    def log_eval(self, x):
-        def f(a):
-            with np.errstate(divide="ignore"):
-                lx = np.log(a)
-            return self.alpha * np.sign(lx) * np.abs(lx) ** self.shape
-        return _eval(f, x)
-
-    def log_at_exp(self, t):
-        return _eval(lambda a: self.alpha * a ** self.shape, t)
-
-    def _raw(self, arr):
-        with np.errstate(divide="ignore"):
-            lx = np.log(arr)
-        return np.exp(self.alpha * np.sign(lx) * np.abs(lx) ** self.shape)
 
 
 class TableUtility(UtilityFunction):
@@ -294,21 +278,6 @@ class TableUtility(UtilityFunction):
         xs, values, saturation = read_table_csv(path, "x", header_required=True)
         return cls(xs, values, saturation=saturation)
 
-    def inverse(self, y):
-        arr = self._check_inverse_domain(y)
-        if np.any(arr > self.values[-1]):
-            raise DomainError("target beyond the tabulated range")
-        out = np.interp(arr, self.values, self.xs)
-        return float(out) if arr.ndim == 0 else out
-
-    def log_at_exp(self, t):
-        def f(a):
-            hi = math.log(self.xs[-1]) if self.xs[-1] > 0 else -math.inf
-            if np.any(a > hi):
-                raise DomainError("argument beyond the tabulated range")
-            return np.log(np.interp(np.exp(a), self.xs, self.values))
-        return _eval(f, t)
-
     def _raw(self, arr):
         """Interpolated values; the range check lives here, so every
         evaluator (``__call__``, ``log_eval``, a scaled view) refuses
@@ -316,6 +285,17 @@ class TableUtility(UtilityFunction):
         if np.any(arr > self.xs[-1]):
             raise DomainError("argument beyond the tabulated range")
         return np.interp(arr, self.xs, self.values)
+
+    def _log_exp(self, arr):
+        hi = math.log(self.xs[-1]) if self.xs[-1] > 0 else -math.inf
+        if np.any(arr > hi):
+            raise DomainError("argument beyond the tabulated range")
+        return np.log(np.interp(np.exp(arr), self.xs, self.values))
+
+    def _inverse(self, arr):
+        if np.any(arr > self.values[-1]):
+            raise DomainError("target beyond the tabulated range")
+        return np.interp(arr, self.values, self.xs)
 
     def _params(self):
         return f"{self.xs.size} rows, saturation={self.saturation}"
@@ -332,21 +312,19 @@ class ScaledUtility(UtilityFunction):
         self.saturation = base.saturation
         self.kind = base.kind
 
-    def __call__(self, x):
-        return self.base(np.asarray(x, dtype=float) * self.scale)
+    # each formula hands the base an array, 0-d for a scalar, as ``_eval``
+    # would: a numpy scalar's ``**`` rounds differently from an array's
+    def _raw(self, arr):
+        return self.base._raw(np.asarray(arr * self.scale))
+
+    def _log(self, arr):
+        return self.base._log(np.asarray(arr * self.scale))
+
+    def _log_exp(self, arr):
+        return self.base._log_exp(np.asarray(arr + math.log(self.scale)))
 
     def inverse(self, y):
-        inv = self.base.inverse(y)
-        return inv / self.scale
-
-    def log_eval(self, x):
-        return self.base.log_eval(np.asarray(x, dtype=float) * self.scale)
-
-    def log_at_exp(self, t):
-        return self.base.log_at_exp(np.asarray(t, dtype=float) + math.log(self.scale))
-
-    def _raw(self, arr):
-        return self.base._raw(arr * self.scale)
+        return self.base.inverse(y) / self.scale
 
     def _params(self):
         return f"base={self.base!r}, scale={self.scale}"
@@ -367,12 +345,13 @@ class DistortionFunction:
 
     def log_eval(self, p):
         """log(w(p)); -inf at p = 0."""
-        return _eval(lambda a: np.log(self._raw(a)), p, hi=1.0, what="probability")
+        return _eval(self._log, p, hi=1.0, what="probability")
 
     def _raw(self, arr):
         """The distortion's one formula, on an array ``_eval`` has validated."""
         raise NotImplementedError
 
+    _log = UtilityFunction._log
     __repr__ = UtilityFunction.__repr__
     _params = UtilityFunction._params
 
@@ -397,11 +376,11 @@ class PowerDistortion(DistortionFunction):
             raise DomainError("power distortion needs beta > 0")
         self.beta = float(beta)
 
-    def log_eval(self, p):
-        return _eval(lambda a: self.beta * np.log(a), p, hi=1.0, what="probability")
-
     def _raw(self, arr):
         return arr ** self.beta
+
+    def _log(self, arr):
+        return self.beta * np.log(arr)
 
 
 class PrelecDistortion(DistortionFunction):
@@ -418,15 +397,11 @@ class PrelecDistortion(DistortionFunction):
         self.beta = float(beta)
         self.shape = float(shape)
 
-    def log_eval(self, p):
-        def f(a):
-            with np.errstate(divide="ignore"):
-                return -self.beta * (-np.log(a)) ** self.shape
-        return _eval(f, p, hi=1.0, what="probability")
-
     def _raw(self, arr):
-        with np.errstate(divide="ignore"):
-            return np.exp(-self.beta * (-np.log(arr)) ** self.shape)
+        return np.exp(self._log(arr))
+
+    def _log(self, arr):
+        return -self.beta * (-np.log(arr)) ** self.shape
 
 
 class AssociatedDistortion(DistortionFunction):
@@ -452,17 +427,14 @@ class AssociatedDistortion(DistortionFunction):
         self.delta = float(delta)
         self._log_u1 = utility.log_eval(1.0)
 
-    def log_eval(self, p):
-        return _eval(self._log_arr, p, hi=1.0, what="probability")
-
-    def _log_arr(self, arr):
-        # under _eval's errstate 1/0 = inf, and log u(inf) = inf gives
-        # log w(0) = -inf and w(0) = exp(-inf) = 0
-        lu = self.utility.log_eval(1.0 / arr)
-        return self.delta * (self._log_u1 - np.asarray(lu, dtype=float))
-
     def _raw(self, arr):
-        return np.exp(self._log_arr(arr))
+        return np.exp(self._log(arr))
+
+    def _log(self, arr):
+        # under _eval's errstate 1/0 = inf, and log u(inf) = inf gives
+        # log w(0) = -inf and w(0) = exp(-inf) = 0; the utility gets an
+        # array, 0-d for a scalar, as its own ``_eval`` would give it
+        return self.delta * (self._log_u1 - self.utility._log(np.asarray(1.0 / arr)))
 
     def _params(self):
         return f"utility={self.utility!r}, delta={self.delta}"

@@ -33,10 +33,8 @@ the dual bound by a duality gap.
 The dual minimiser barely moves with N, so a solve on many cells first
 finds it alone on COARSE_CELLS cells, sharing the lattice and its level
 utilities, and brackets lam by steps around it instead of doubling up
-from 0.  In a sweep the pass does not answer, a run of cells whose band is
-one level adds constants, summed in one pass; only cells with two or more
-levels cost numpy calls.  Since u(0) = 0, the payoff table is built from
-its halves: the gain term on the levels >= 0, minus the loss term below.
+from 0.  Since u(0) = 0, the payoff table is built from its halves: the
+gain term on the levels >= 0, minus the loss term below.
 """
 
 from __future__ import annotations
@@ -334,40 +332,28 @@ def _sweep(payoff, prices, neg_levels, lo, hi):
     over its band only and holds the running prefix max of V_i, the best sum
     of a path ending at each level; a running max keeps the first argmax of
     every prefix, so the traceback, taking the first argmax, returns the
-    least maximiser (the cellwise minimum of all best paths).  A cell whose
-    band is one level sits at or above the previous band's top (``hi`` is
-    non-decreasing), so it adds its g to the previous row's overall max: a
-    run of such cells is one sequential sum, with the same roundings.
+    least maximiser (the cellwise minimum of all best paths).
     """
-    fixed = prices * neg_levels[lo] + payoff[np.arange(lo.size), lo]
-    n, wide = lo.size, np.flatnonzero(lo < hi).tolist()
     lo, hi = lo.tolist(), (hi + 1).tolist()
-    rows, row, done = {}, None, 0
-    for i in wide + [n]:
-        if done < i:  # one-level cells done..i-1, at or above the band before
-            run = np.concatenate(([row[-1]], fixed[done:i])) if done else fixed[done:i]
-            row = np.add.accumulate(run)[-1:]
-        if i == n:
-            break
-        a, b = lo[i], hi[i]
-        new = prices[i] * neg_levels[a:b]
-        new += payoff[i, a:b]
+    rows = []
+    for i, (a, b, price) in enumerate(zip(lo, hi, prices.tolist())):
+        row = price * neg_levels[a:b]
+        row += payoff[i, a:b]
         if i:
             # the levels up to the previous band's top add its running max
             # there, the levels above add its overall max
-            k = min(b, hi[i - 1]) - a
+            prev, k = rows[-1], min(b, hi[i - 1]) - a
             if k > 0:
-                new[:k] += row[a - lo[i - 1]: a - lo[i - 1] + k]
+                row[:k] += prev[a - lo[i - 1]: a - lo[i - 1] + k]
             if k < b - a:
-                new[max(k, 0):] += row[-1]
-        np.maximum.accumulate(new, out=new)
-        rows[i] = row = new
-        done = i + 1
-    idx = lo.copy()  # a one-level cell sits on its level
-    for i in reversed(wide):
+                row[max(k, 0):] += prev[-1]
+        np.maximum.accumulate(row, out=row)
+        rows.append(row)
+    idx, n = lo.copy(), len(rows)
+    for i in range(n - 1, -1, -1):
         k = (hi[i] if i == n - 1 else min(idx[i + 1] + 1, hi[i])) - lo[i]
         idx[i] += int(rows[i][:k].argmax()) if k > 1 else 0
-    return float(row[-1]) + 0.0, np.array(idx, dtype=np.intp)
+    return float(rows[-1][-1]) + 0.0, np.array(idx, dtype=np.intp)
 
 
 def _own_best(payoff, prices, neg_levels, lo, hi):

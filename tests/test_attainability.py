@@ -19,30 +19,24 @@ class ExpGrowthUtility(F.UtilityFunction):
 
     kind = "custom"
 
-    def __call__(self, x):
-        def f(a):
-            if np.any(a > 700.0):
-                raise DomainError("overflow")
-            return np.expm1(a)
-        return F._eval(f, x)
+    def _raw(self, a):
+        if np.any(a > 700.0):
+            raise DomainError("overflow")
+        return np.expm1(a)
 
     def inverse(self, y):
         return math.log1p(y)
 
-    def log_eval(self, x):
-        def f(a):
-            if np.any(a > 700.0):
-                raise DomainError("overflow")
-            return np.log(np.expm1(np.maximum(a, 1e-300)))
-        return F._eval(f, x)
+    def _log(self, a):
+        if np.any(a > 700.0):
+            raise DomainError("overflow")
+        return np.log(np.expm1(np.maximum(a, 1e-300)))
 
-    def log_at_exp(self, t):
-        def f(a):
-            if np.any(a > 700.0):
-                raise DomainError("overflow")
-            e = np.exp(a)
-            return np.where(e > 40.0, e, np.log(np.expm1(np.maximum(e, 1e-300))))
-        return F._eval(f, t)
+    def _log_exp(self, a):
+        if np.any(a > 700.0):
+            raise DomainError("overflow")
+        e = np.exp(a)
+        return np.where(e > 40.0, e, np.log(np.expm1(np.maximum(e, 1e-300))))
 
 
 # ---------------------------------------------------------------------------

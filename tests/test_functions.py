@@ -364,6 +364,24 @@ def test_table_refuses_beyond_range_in_every_evaluator():
         u.log_at_exp(math.log(10.0))
 
 
+def test_scaled_growth_transform_accepts_its_domain():
+    # the view checks t >= 0 itself; its base then reads t + log(scale),
+    # which a scale below 1 takes below 0
+    scaled, scale = F.normalize_utility(F.TableUtility([0.0, 0.5, 4.0], [0.0, 1.0, 2.0]))
+    assert scale == 0.5
+    want = math.log(1.0 + (0.5 * math.exp(0.1) - 0.5) / 3.5)
+    assert scaled.log_at_exp(0.1) == pytest.approx(want, rel=1e-14)
+    assert scaled.log_at_exp(np.array([0.0, 0.1]))[1] == scaled.log_at_exp(0.1)
+
+
+def test_scaled_growth_transform_refuses_negative_t():
+    scaled, scale = F.normalize_utility(F.LogUtility())
+    assert scale > 1.0  # so t + log(scale) >= 0 even at t = -0.1
+    for t in (-0.1, np.array([0.0, -0.1])):
+        with pytest.raises(DomainError, match="transform argument"):
+            scaled.log_at_exp(t)
+
+
 def test_table_validation():
     with pytest.raises(DomainError):
         F.TableUtility([0.0, 1.0, 1.0], [0.0, 1.0, 2.0])

@@ -146,8 +146,9 @@ def test_band_sweep_matches_full_band(data, n_cells, n_levels):
 
 
 def reference_sweep(payoff, prices, neg_levels, lo, hi):
-    """Row-by-row band sweep that the folded one-level runs replaced; like
-    ``_sweep`` it returns its sum as +0.0 when that sum is zero."""
+    """Row-by-row band sweep written out independently of ``_sweep``, with
+    its traceback kept as a running level; like ``_sweep`` it returns its
+    sum as +0.0 when that sum is zero."""
     lo, hi = lo.tolist(), (hi + 1).tolist()
     rows = []
     for i, (a, b, price) in enumerate(zip(lo, hi, prices.tolist())):
@@ -175,7 +176,7 @@ def reference_sweep(payoff, prices, neg_levels, lo, hi):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), n_cells=st.integers(1, 12), n_levels=st.integers(1, 6))
 def test_folded_sweep_matches_row_sweep(data, n_cells, n_levels):
-    # monotone bands where most cells have one level, in runs: the folded
+    # monotone bands where most cells have one level, in runs: each row's
     # sums keep every rounding, and the traceback picks the same levels.
     # Payoffs mix small integers (ties) with arbitrary floats
     lo = np.sort(data.draw(st.lists(st.integers(0, n_levels - 1),
