@@ -140,7 +140,7 @@ def liminf_condition(w_minus, u_minus):
     elif slope > SLOPE_TOL or (nonincreasing and total_change < -DECLINE_TOL):
         holds = "no"
         detail = "product decays towards 0 along the probe grid"
-    elif bounded_away and (abs(slope) <= SLOPE_TOL or slope < -SLOPE_TOL):
+    elif bounded_away and slope <= SLOPE_TOL:  # False here only for a NaN slope
         holds = "yes"
         detail = (
             "product stays level and bounded away from 0"

@@ -107,25 +107,10 @@ class CPTValue:
             return -math.inf
         return self.v_plus - self.v_minus
 
-    def as_dict(self):
-        return {
-            "v_plus": _token(self.v_plus),
-            "v_minus": _token(self.v_minus),
-            "total": _token(self.total),
-        }
-
     def __str__(self):
-        return (
-            f"v_plus={_token(self.v_plus)} v_minus={_token(self.v_minus)} "
-            f"total={_token(self.total)}"
-        )
-
-
-def _token(x):
-    """Serialize a float with explicit infinity tokens."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(float(x))
+        # a float's repr is its shortest round-trip text: inf, -inf included
+        return (f"v_plus={float(self.v_plus)!r} v_minus={float(self.v_minus)!r} "
+                f"total={float(self.total)!r}")
 
 
 def choquet_positive(law, utility, distortion):

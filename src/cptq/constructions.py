@@ -177,7 +177,6 @@ class NonattainabilityReport:
 
     ceiling: float
     gap_tol: float
-    x0: float
     verdict: ConditionVerdict  # attainability 'no', the construction's premise
     elements: list = field(default_factory=list)
     skipped: list = field(default_factory=list)  # (n, a_n, b_n) below the capital bar
@@ -267,8 +266,7 @@ def demonstrate_nonattainability(kernel, u_plus, u_minus, w_plus, w_minus, x0,
             "the construction does not apply"
         )
 
-    report = NonattainabilityReport(ceiling=u_plus.saturation, gap_tol=gap_tol, x0=x0,
-                                    verdict=verdict)
+    report = NonattainabilityReport(ceiling=u_plus.saturation, gap_tol=gap_tol, verdict=verdict)
     a_prev = None
     for n in range(1, n_max + 1):
         level = find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)

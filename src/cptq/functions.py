@@ -13,12 +13,12 @@ transform, stable for t far beyond the overflow range of e^t.
 Only the base classes validate: each evaluator checks its argument once, in
 ``_eval``, and hands the checked array to a formula.  A subclass declares
 ``_raw`` (the value) and, where a stabler form exists, ``_log``,
-``_log_exp`` and ``_inverse`` (on the targets ``inverse`` has checked); the
-defaults derive the log forms from ``_raw``.  A formula calls formulas,
-never a public evaluator, so nothing is validated twice.  Each parametric
-class declares its constructor arguments once, in ``params``;
-``UTILITY_KINDS`` and ``DISTORTION_KINDS`` map every parametric ``kind`` to
-its class, and the CLI builds preferences from them.
+``_log_exp`` and ``_inverse`` (``inverse`` first refuses targets at or
+above the saturation); the defaults derive the log forms from ``_raw``.  A
+formula calls formulas, never a public evaluator, so nothing is validated
+twice.  Each parametric class declares its constructor arguments once, in
+``params``; ``UTILITY_KINDS`` and ``DISTORTION_KINDS`` map every parametric
+``kind`` to its class, and the CLI builds preferences from them.
 """
 
 from __future__ import annotations
@@ -83,15 +83,11 @@ class UtilityFunction:
     def inverse(self, y):
         """The x >= 0 with u(x) = y, for 0 <= y < saturation."""
         arr = np.asarray(y, dtype=float)
-        if np.any(arr < 0):
-            raise DomainError("inversion target must be non-negative")
         if np.any(arr >= self.saturation):
             raise SaturationError(
                 f"target {np.max(arr)} not attained; upper limit is {self.saturation}"
             )
-        with np.errstate(divide="ignore"):
-            out = self._inverse(arr)
-        return float(out) if arr.ndim == 0 else out
+        return _eval(self._inverse, arr, what="inversion target")
 
     def _raw(self, arr):
         """The utility's one formula, on an array ``_eval`` has validated."""
@@ -323,8 +319,8 @@ class ScaledUtility(UtilityFunction):
     def _log_exp(self, arr):
         return self.base._log_exp(np.asarray(arr + math.log(self.scale)))
 
-    def inverse(self, y):
-        return self.base.inverse(y) / self.scale
+    def _inverse(self, arr):
+        return self.base._inverse(arr) / self.scale
 
     def _params(self):
         return f"base={self.base!r}, scale={self.scale}"

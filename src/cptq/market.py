@@ -108,8 +108,6 @@ class PricingKernel:
     atoms, i.e. its quantile function is strictly increasing.
     """
 
-    model = "abstract"
-
     def quantile(self, p):
         raise NotImplementedError
 
@@ -144,7 +142,8 @@ class PricingKernel:
         Integrates q_rho(Phi(z))^p phi(z) over the normal score z, mapped
         from t in (0, 1) by z = c log(t / (1 - t)) so that far tails get
         cells of their own (see ``_quad``).  The integrand is formed in logs
-        from ``score_log_quantile``, so no moment a double holds overflows.
+        from the subclass's ``score_log_quantile``, so no moment a double
+        holds overflows.
         """
         def g(t):
             z = _Z_SCALE * np.log(t / (1.0 - t))
@@ -153,20 +152,7 @@ class PricingKernel:
                         * _DZ_DT / (t * (1.0 - t)))
         return _quad.unit_integral(g)
 
-    def score_log_quantile(self, z):
-        """log q_rho(Phi(z)) for an array of normal scores z.
 
-        Above the median q_rho is read through ``quantile_upper``, so
-        1 - Phi(z) is never rounded away.
-        """
-        upper = z > 0.0
-        q = np.empty_like(z)
-        q[~upper] = self.quantile(np.maximum(_ndtr(z[~upper]), TAIL_FLOOR))
-        q[upper] = self.quantile_upper(np.maximum(_ndtr(-z[upper]), TAIL_FLOOR))
-        return np.log(q)
-
-
-TAIL_FLOOR = 1e-300  # tail probabilities below this reach the quantile as this
 # Scale c of the score map z = c log(t / (1 - t)), derived from the coarsest
 # grid: its outermost midpoint t = 2^-(K_MIN+1) lands at |z| = 38.6, where
 # phi(z) underflows, so c = 38.6 / ((K_MIN + 1) log 2), about 5.
@@ -182,7 +168,6 @@ class LognormalKernel(PricingKernel):
     has unit mean).
     """
 
-    model = "lognormal"
     continuous = True
 
     def __init__(self, sigma):
@@ -275,8 +260,6 @@ class TableKernel(PricingKernel):
     regularity checks will then report.
     """
 
-    model = "custom_quantile"
-
     def __init__(self, ps, qs, strict=False):
         ps = np.asarray(ps, dtype=float)
         qs = np.asarray(qs, dtype=float)
@@ -358,7 +341,6 @@ class DiscreteKernel(PricingKernel):
     Violates the continuous-distribution regularity check by design.
     """
 
-    model = "custom_quantile"
     continuous = False
 
     def __init__(self, values, probs):

@@ -101,7 +101,7 @@ class SolveDiagnostics:
 
 
 class QuantilePortfolio:
-    """Non-decreasing step quantile profile with its valuation context."""
+    """Non-decreasing step quantile profile with its cost and CPT value."""
 
     def __init__(self, q, kernel, u_plus, u_minus, w_plus, w_minus):
         q = np.asarray(q, dtype=float)
@@ -111,18 +111,13 @@ class QuantilePortfolio:
 
     def _on(self, grid, q):
         """Take the profile ``q``, valued on ``grid``, a ``_Grid`` of its size."""
-        self.q, self.kernel, self.u_plus, self.u_minus = q, grid.kernel, grid.u_plus, grid.u_minus
-        self.w_plus, self.w_minus, self.grid = grid.w_plus, grid.w_minus, grid.p_mid
-        self.cost, self.cpt = grid.cost(q), grid.cpt(q)
+        self.q, self.grid, self.cost, self.cpt = q, grid.p_mid, grid.cost(q), grid.cpt(q)
         return self
 
     @property
     def law(self):
         n = self.q.size
         return DiscreteLaw(self.q, np.full(n, 1.0 / n))
-
-    def neg_moment(self, eta):
-        return _neg_moment(self.q, eta)
 
     def to_csv(self, path, header_lines=()):
         write_table_csv(path, ("p", "q"), zip(self.grid.tolist(), self.q.tolist()), header_lines)
@@ -132,8 +127,7 @@ class _Grid:
     """Precomputed cell weights shared by all evaluations at one size N."""
 
     def __init__(self, kernel, u_plus, u_minus, w_plus, w_minus, n_cells):
-        self.kernel, self.u_plus, self.u_minus = kernel, u_plus, u_minus
-        self.w_plus, self.w_minus = w_plus, w_minus
+        self.u_plus, self.u_minus = u_plus, u_minus
         edges = np.arange(n_cells + 1) / n_cells
         self.p_mid = (np.arange(n_cells) + 0.5) / n_cells
         # cell i of the profile occupies kernel states (1 - i/N, 1 - (i-1)/N)

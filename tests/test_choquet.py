@@ -172,10 +172,8 @@ def test_sure_payoff_keeps_full_mass():
 
 
 def test_cpt_value_serialization_tokens():
-    v = CPTValue(v_plus=0.5, v_minus=math.inf)
-    d = v.as_dict()
-    assert d["v_minus"] == "inf" and d["total"] == "-inf"
-    assert "inf" in str(v)
+    # the line ``cptq value`` prints
+    assert str(CPTValue(v_plus=0.5, v_minus=math.inf)) == "v_plus=0.5 v_minus=inf total=-inf"
 
 
 def test_law_csv_line_ends_are_lf(tmp_path):

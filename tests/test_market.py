@@ -16,7 +16,6 @@ from cptq.errors import DomainError
 from cptq.market import (
     DiscreteKernel,
     LognormalKernel,
-    PricingKernel,
     TableKernel,
     budget,
     check_assumptions,
@@ -95,21 +94,6 @@ def test_moments_lognormal():
     for sigma in (0.15, 0.3, 0.6):
         k = LognormalKernel(sigma)
         for p in (1, 2, 4, 8, 16, 40, -1, -2, -4, -8, -16, -40):
-            est, converged = k.moment(p)
-            cf = lognormal_moment(p, sigma)
-            assert converged, (sigma, p)
-            assert abs(est - cf) <= 1e-12 * cf, (sigma, p, est, cf)
-
-
-def test_moment_two_sided_read_matches_closed_form():
-    # a kernel without its own score map reads q_rho(Phi(z)) through
-    # quantile below the median and quantile_upper above it
-    class TwoSided(LognormalKernel):
-        score_log_quantile = PricingKernel.score_log_quantile
-
-    for sigma in (0.15, 0.6):
-        k = TwoSided(sigma)
-        for p in (1, 4, 16, 40, -1, -4, -16, -40):
             est, converged = k.moment(p)
             cf = lognormal_moment(p, sigma)
             assert converged, (sigma, p)

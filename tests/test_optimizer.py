@@ -627,7 +627,7 @@ def test_threshold_contrast_across_resolution(lognormal):
             opts = SolveOptions(eta_moment=1.2)
             port, _ = solve(lognormal, U_EXP, u_minus, IDENT, w_minus, 1.0,
                             n_cells=n_cells, opts=opts)
-            out.append(port.neg_moment(1.2))
+            out.append(optimizer._neg_moment(port.q, 1.2))
         maxima[delta] = out
     lo = maxima[0.5]
     hi = maxima[1.5]
