@@ -63,12 +63,15 @@ def parse_config_text(text):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        cfg[key] = _coerce(value)
+        cfg[key] = _coerce(key, value)
     return cfg
 
 
-def _coerce(token):
-    """``token`` as an int, else as a float (inf included), else as text."""
+def _coerce(key, token):
+    """The value of ``key``: text for a ``*.path`` key, else ``token`` as an
+    int, else as a float (inf included), else as text."""
+    if key.endswith(".path"):  # a file name is read as written: 007 is not 7
+        return token
     for kind in (int, float):
         try:
             return kind(token)
@@ -81,7 +84,8 @@ def apply_env_overrides(cfg, environ=None):
     environ = os.environ if environ is None else environ
     # decode only the values of the CPTQ_* names
     for name in [name for name in environ if name.startswith(ENV_PREFIX)]:
-        cfg[name[len(ENV_PREFIX):].lower().replace("__", ".")] = _coerce(environ[name])
+        key = name[len(ENV_PREFIX):].lower().replace("__", ".")
+        cfg[key] = _coerce(key, environ[name])
     return cfg
 
 
@@ -246,7 +250,7 @@ def cmd_check(cfg, out_dir, seed):
     kernel = build_kernel(cfg)
     u_plus, u_minus, w_plus, w_minus = build_preferences(cfg)
     key = "check.moment_orders"  # comma-separated numbers
-    orders = tuple(_number({key: _coerce(tok)}, key)
+    orders = tuple(_number({key: _coerce(key, tok)}, key)
                    for tok in str(cfg.get(key, "1,2,4,8,16")).split(","))
     verdict = attn.regime(u_minus, w_minus, _number(cfg, "check.delta", None, positive=True))
     report = {

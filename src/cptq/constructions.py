@@ -110,18 +110,6 @@ class SequenceElement:
     level_gap: float  # distance from the requested level; nonzero only for kernels with atoms
     law = property(lambda el: DiscreteLaw([el.x_atom, -el.y_atom], [1.0 - el.a_n, el.a_n]))
 
-    @property
-    def v_plus(self):
-        return self.cpt.v_plus
-
-    @property
-    def v_minus(self):
-        return self.cpt.v_minus
-
-    @property
-    def value(self):
-        return self.cpt.total
-
 
 def build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0, level):
     """Assemble the n-th two-atom payoff at ``level`` = (a, b) from
@@ -186,7 +174,7 @@ class NonattainabilityReport:
     def final_gap(self):
         if not self.elements:
             return math.inf
-        return self.ceiling - self.elements[-1].value
+        return self.ceiling - self.elements[-1].cpt.total
 
     @property
     def nonattainability_demonstrated(self):
@@ -194,8 +182,8 @@ class NonattainabilityReport:
 
     def rows(self):
         for el in self.elements:
-            yield (el.n, el.a_n, el.b_n, el.v_plus, el.v_minus, el.value,
-                   self.ceiling - el.value)
+            yield (el.n, el.a_n, el.b_n, el.cpt.v_plus, el.cpt.v_minus, el.cpt.total,
+                   self.ceiling - el.cpt.total)
 
     def to_csv(self, path, header_lines=()):
         write_table_csv(path, ("n", "a_n", "b_n", "V_plus", "V_minus", "V", "gap"),
@@ -205,7 +193,7 @@ class NonattainabilityReport:
         """Plot of V(Z_n) against n under the dashed ceiling line."""
         width, height, margin = 640, 400, 56
         ns = [el.n for el in self.elements]
-        vs = [el.value for el in self.elements]
+        vs = [el.cpt.total for el in self.elements]
         m_line = self.ceiling
         x_lo, x_hi = min(ns), max(ns)
         y_lo = min(min(vs), 0.0)

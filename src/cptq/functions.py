@@ -37,18 +37,25 @@ from .errors import (
 _LOG_MAX = 700.0  # exp() overflows shortly above this
 
 
-def _eval(fn, x, lo=0.0, hi=math.inf, what="argument"):
-    """Check that every point lies in [lo, hi] (a NaN lies in none) and
-    apply ``fn``, preserving scalar-ness."""
+def _checked(fn, x, lo, hi, what, named=None):
+    """Check that every point lies in [lo, hi] (a NaN lies in none; a
+    refusal names the interval as ``named``, else as [lo, hi]) and apply
+    ``fn``, preserving scalar-ness.  The one argument gate of the package:
+    the preference evaluators reach it through ``_eval``, the pricing
+    kernels' directly."""
     arr = np.asarray(x, dtype=float)
     inside = (arr >= lo) & (arr <= hi)  # a numpy bool, not an array, when arr is 0-d
     if not (inside.all() if arr.ndim else inside):
-        raise DomainError(f"{what} must lie in [{lo}, {hi}] and not be NaN")
+        raise DomainError(f"{what} must lie in {named or f'[{lo}, {hi}]'} and not be NaN")
+    out = fn(arr)
+    return float(out) if arr.ndim == 0 else out
+
+
+def _eval(fn, x, lo=0.0, hi=math.inf, what="argument"):
+    """``_checked`` with floating-point warnings silenced: a preference
+    formula's overflow or log(0) is its value, inf or -inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = fn(arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+        return _checked(fn, x, lo, hi, what)
 
 
 def _log1p_exp(t):
@@ -314,7 +321,13 @@ class ScaledUtility(UtilityFunction):
         return self.base._raw(np.asarray(arr * self.scale))
 
     def _log(self, arr):
-        return self.base._log(np.asarray(arr * self.scale))
+        scaled = np.asarray(arr * self.scale)
+        out = self.base._log(scaled)
+        over = np.isinf(scaled) & np.isfinite(arr)  # scale * x passes the largest double
+        if np.any(over):  # there log u(scale * x) is the growth transform at log x + log scale
+            t = np.log(np.where(over, arr, 1.0)) + math.log(self.scale)
+            out = np.where(over, self.base._log_exp(np.asarray(t)), out)
+        return out
 
     def _log_exp(self, arr):
         return self.base._log_exp(np.asarray(arr + math.log(self.scale)))

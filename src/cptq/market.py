@@ -9,9 +9,13 @@ U = F_rho(rho), this cost becomes
 
 the cheapest arrangement of the law nu (Hardy-Littlewood).  Kernels expose
 exact partial expectations of q_rho so that step-quantile payoffs are priced
-without quadrature error.  Table and discrete kernels share one tail
-integral, ``_piecewise_tail``: a reverse cumsum of exact cell integrals, one
-searchsorted per level and its partial cell (a discrete kernel is the step case).
+without quadrature error.  A model declares only formulas (``_quantile``,
+``_cdf``, ``_tail``; ``_quantile_upper`` and ``_survival`` where a stable form
+exists); the base class's five evaluators check each argument once, in
+``functions._checked``, which leaves floating-point warnings to the formulas.
+Table and discrete kernels share one tail integral, ``_piecewise_tail``: a
+reverse cumsum of exact cell integrals, one searchsorted per level and its
+partial cell (a discrete kernel is the step case).
 The normal cdf Phi and its inverse come from the standard library
 (``math.erfc`` and ``statistics.NormalDist.inv_cdf``, Wichura's AS241).
 """
@@ -27,7 +31,7 @@ import numpy as np
 from . import _quad
 from .choquet import DiscreteLaw
 from .errors import DomainError
-from .functions import read_table_csv
+from .functions import _checked, read_table_csv
 
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_HALF_LO = -4.833646656726457e-17  # 1/sqrt 2 - _SQRT_HALF
@@ -93,14 +97,6 @@ def _ndtri(p):
     return out
 
 
-def _states(x):
-    """The kernel states ``x`` as an array; a NaN state raises."""
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        raise DomainError("kernel state must be a number, not NaN")
-    return x
-
-
 class PricingKernel:
     """Base class for models of the law of rho.
 
@@ -108,23 +104,32 @@ class PricingKernel:
     atoms, i.e. its quantile function is strictly increasing.
     """
 
+    levels = (0.0, 1.0)  # the closed interval of quantile levels a model accepts
+    levels_named = None  # how a refusal names it, when not as [lo, hi]
+
     def quantile(self, p):
-        raise NotImplementedError
+        return _checked(self._quantile, p, *self.levels, "quantile level", self.levels_named)
 
     def quantile_upper(self, eps):
-        """q_rho(1 - eps); overridden where tiny eps needs a stable form."""
-        return self.quantile(1.0 - np.asarray(eps, dtype=float))
+        """q_rho(1 - eps), stable for tiny eps where the model has a form for it."""
+        return _checked(self._quantile_upper, eps, *self.levels, "tail level", self.levels_named)
 
     def cdf(self, x):
-        raise NotImplementedError
+        return _checked(self._cdf, x, -math.inf, math.inf, "kernel state")
 
     def survival(self, x):
-        """P{rho > x}; overridden where the complement loses precision."""
-        return 1.0 - self.cdf(x)
+        """P{rho > x}."""
+        return _checked(self._survival, x, -math.inf, math.inf, "kernel state")
 
     def tail_expectation(self, eps):
         """integral_{1-eps}^1 q_rho(x) dx, exact per model, stable for tiny eps."""
-        raise NotImplementedError
+        return _checked(self._tail, eps, 0.0, 1.0, "tail mass")
+
+    def _quantile_upper(self, eps):
+        return self._quantile(1.0 - eps)
+
+    def _survival(self, x):
+        return 1.0 - self._cdf(x)
 
     def continuity_evidence(self):
         """[p, q_rho(p)] points behind ``continuous``: a coarse quantile probe."""
@@ -169,6 +174,8 @@ class LognormalKernel(PricingKernel):
     """
 
     continuous = True
+    levels = (5e-324, 1.0 - 2.0 ** -53)  # the doubles strictly inside (0, 1)
+    levels_named = "(0, 1)"
 
     def __init__(self, sigma):
         if sigma <= 0:
@@ -176,37 +183,26 @@ class LognormalKernel(PricingKernel):
         self.sigma = float(sigma)
         self.mu = -0.5 * self.sigma ** 2
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if not ((p > 0.0) & (p < 1.0)).all():
-            raise DomainError("quantile level must lie in (0, 1)")
-        out = np.exp(self.mu + self.sigma * _ndtri(p))
-        return float(out) if p.ndim == 0 else out
+    def _quantile(self, p):
+        return np.exp(self.mu + self.sigma * _ndtri(p))
 
-    def quantile_upper(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        if not ((eps > 0.0) & (eps < 1.0)).all():
-            raise DomainError("tail level must lie in (0, 1)")
-        out = np.exp(self.mu - self.sigma * _ndtri(eps))
-        return float(out) if eps.ndim == 0 else out
+    def _quantile_upper(self, eps):
+        return np.exp(self.mu - self.sigma * _ndtri(eps))
 
     def score_log_quantile(self, z):
         """log q_rho(Phi(z)) = mu + sigma z, exactly."""
         return self.mu + self.sigma * z
 
-    def cdf(self, x):
+    def _cdf(self, x):
         # log 0 = -inf sends every state x <= 0 to Phi(-inf) = 0
         with np.errstate(divide="ignore"):
-            return _ndtr((np.log(np.maximum(_states(x), 0.0)) - self.mu) / self.sigma)
+            return _ndtr((np.log(np.maximum(x, 0.0)) - self.mu) / self.sigma)
 
-    def survival(self, x):
+    def _survival(self, x):
         with np.errstate(divide="ignore"):
-            return _ndtr(-(np.log(np.maximum(_states(x), 0.0)) - self.mu) / self.sigma)
+            return _ndtr(-(np.log(np.maximum(x, 0.0)) - self.mu) / self.sigma)
 
-    def tail_expectation(self, eps):
-        eps = np.asarray(eps, dtype=float)
-        if not ((eps >= 0.0) & (eps <= 1.0)).all():
-            raise DomainError("tail mass must lie in [0, 1]")
+    def _tail(self, eps):
         # integral over the top eps of the distribution: Phi-bar(z(eps) - sigma)
         # with z(eps) = -Phi^-1(eps); Phi^-1 is -inf at 0 and inf at 1
         return _ndtr(_ndtri(eps) + self.sigma)
@@ -232,9 +228,6 @@ def _piecewise_tail(edges, left, right, eps):
     Cell i spans [edges[i], edges[i+1]] and runs linearly from left[i] to
     right[i]; a step quantile has left == right.  Cells may have zero width.
     """
-    eps = np.asarray(eps, dtype=float)
-    if not ((eps >= 0.0) & (eps <= 1.0)).all():
-        raise DomainError("tail mass must lie in [0, 1]")
     widths = np.diff(edges)
     # above[i]: integral over cells i, i+1, ...; above[-1] = 0
     above = np.append(np.cumsum((0.5 * (left + right) * widths)[::-1])[::-1], 0.0)
@@ -243,8 +236,7 @@ def _piecewise_tail(edges, left, right, eps):
     i = np.clip(np.searchsorted(edges, lo, side="right") - 1, 0, widths.size - 1)
     frac = np.divide(lo - edges[i], widths[i], out=np.zeros(np.shape(lo)), where=widths[i] > 0.0)
     q_lo = left[i] + (right[i] - left[i]) * frac
-    out = above[i + 1] + 0.5 * (q_lo + right[i]) * (edges[i + 1] - lo)
-    return float(out) if eps.ndim == 0 else out
+    return above[i + 1] + 0.5 * (q_lo + right[i]) * (edges[i + 1] - lo)
 
 
 def _ratio(num, den):
@@ -284,22 +276,16 @@ class TableKernel(PricingKernel):
         ps, qs, _ = read_table_csv(path, "p")
         return cls(ps, qs, strict=True)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise DomainError("quantile level must lie in [0, 1]")
-        out = np.interp(p, self.ps, self.qs)
-        return float(out) if p.ndim == 0 else out
+    def _quantile(self, p):
+        return np.interp(p, self.ps, self.qs)
 
-    def cdf(self, x):
-        x = _states(x)
+    def _cdf(self, x):
         # flat quantile stretches are atoms: keep the right-most knot of each
         # repeated value so the cdf jumps across the atom's full mass
         last = np.concatenate((self.qs[1:] != self.qs[:-1], [True]))
-        out = np.interp(x, self.qs[last], self.ps[last], left=0.0, right=1.0)
-        return float(out) if x.ndim == 0 else out
+        return np.interp(x, self.qs[last], self.ps[last], left=0.0, right=1.0)
 
-    def tail_expectation(self, eps):
+    def _tail(self, eps):
         return _piecewise_tail(self.ps, self.qs[:-1], self.qs[1:], eps)
 
     def moment(self, order):
@@ -352,20 +338,14 @@ class DiscreteKernel(PricingKernel):
             raise DomainError("kernel values must be positive")
         self.edges = _cell_edges(self.probs)
 
-    def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if not np.all((p >= 0.0) & (p <= 1.0)):
-            raise DomainError("quantile level must lie in [0, 1]")
+    def _quantile(self, p):
         idx = np.clip(np.searchsorted(self.edges[1:], p, side="left"), 0, self.values.size - 1)
-        out = self.values[idx]
-        return float(out) if p.ndim == 0 else out
+        return self.values[idx]
 
-    def cdf(self, x):
-        x = _states(x)
-        out = self.edges[np.searchsorted(self.values, x, side="right")]
-        return float(out) if x.ndim == 0 else out
+    def _cdf(self, x):
+        return self.edges[np.searchsorted(self.values, x, side="right")]
 
-    def tail_expectation(self, eps):
+    def _tail(self, eps):
         return _piecewise_tail(self.edges, self.values, self.values, eps)
 
     def moment(self, order):

@@ -96,6 +96,19 @@ def test_liminf_probes_associated_distortion_of_another_utility():
         assert "closed-form" not in verdict.detail
 
 
+@pytest.mark.parametrize("alpha, holds, slope", [(1.0, "yes", -0.3), (0.5, "no", 0.2)])
+def test_liminf_reads_products_beyond_a_double(alpha, holds, slope):
+    # u(1e300 / x) passes the largest double at the deep probes, its log does
+    # not: the product is 1e300^alpha * x^(0.7 - alpha), growing or decaying
+    u = F.ScaledUtility(F.PowerUtility(alpha), 1e300)
+    verdict = attn.liminf_condition(F.PowerDistortion(0.7), u)
+    assert verdict.holds == holds
+    assert verdict.parameters_found["loglog_slope"] == pytest.approx(slope, abs=1e-9)
+    xs = 10.0 ** -np.arange(1, attn.LIMINF_PROBES + 1)
+    want = alpha * 300 * math.log(10.0) + (0.7 - alpha) * np.log(xs)
+    assert [p for _, p in verdict.evidence] == pytest.approx(np.exp(want), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # delta threshold
 

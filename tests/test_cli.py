@@ -81,6 +81,22 @@ def test_env_overrides(tmp_path):
     assert cfg["kernel.sigma"] == 0.4
 
 
+def test_path_keys_are_read_as_written(tmp_path, monkeypatch, capsys):
+    # a bare numeric file name must not become a number: 007 is not 7
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "007").write_text("value,prob\n2.0,0.25\n0.0,0.75\n")
+    prefs = ("utility.plus.kind = power\nutility.plus.alpha = 1.0\n"
+             "utility.minus.kind = power\nutility.minus.alpha = 1.0\n"
+             "distortion.plus.kind = identity\ndistortion.minus.kind = identity\n")
+    cfg = _write(tmp_path, "v.cfg", prefs + "law.path = 007\n")
+    assert cli.main(["value", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert cli.parse_config_text("law.path = 007\n") == {"law.path": "007"}
+    cfg = _write(tmp_path, "e.cfg", prefs)
+    monkeypatch.setenv("CPTQ_LAW__PATH", "007")
+    assert cli.main(["value", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "0.5" in capsys.readouterr().out
+
+
 def test_value_command(tmp_path, capsys):
     law = tmp_path / "law.csv"
     law.write_text("value,prob\n2.0,0.25\n0.0,0.75\n")

@@ -156,7 +156,7 @@ def test_build_element_probabilities_exact(demo_report):
 
 def test_build_element_loss_value_below_one_over_n(demo_report):
     for el in demo_report.elements:
-        assert el.v_minus < 1.0 / el.n
+        assert el.cpt.v_minus < 1.0 / el.n
 
 
 def test_build_element_level_too_low(kernel, prefs):
@@ -177,14 +177,14 @@ def test_build_element_zero_capital(kernel, prefs):
 
 
 def test_values_climb_monotonically(demo_report):
-    vals = [el.value for el in demo_report.elements]
+    vals = [el.cpt.total for el in demo_report.elements]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
 def test_values_below_ceiling(demo_report):
     for el in demo_report.elements:
-        assert el.value <= demo_report.ceiling + 1e-12
-        assert el.v_plus <= demo_report.ceiling + 1e-12
+        assert el.cpt.total <= demo_report.ceiling + 1e-12
+        assert el.cpt.v_plus <= demo_report.ceiling + 1e-12
 
 
 def test_final_gap_below_tolerance(demo_report):
@@ -296,7 +296,7 @@ def test_closed_form_elements_match_valuation_and_pricing(kind):
             continue
         oracle = (choquet_oracle(law.positive_part(), u_plus, w_plus)
                   - choquet_oracle(law.negative_part(), u_minus, w_minus))
-        assert abs(el.value - oracle) <= 1e-12, el.n
+        assert abs(el.cpt.total - oracle) <= 1e-12, el.n
     assert (overflowed > 0) == (kind == "power")
     clamped = any(w_plus(1.0 - el.a_n) > 1.0 for el in rep.elements)
     assert clamped == (kind == "gain_weight_above_one")

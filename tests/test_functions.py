@@ -135,6 +135,18 @@ def test_normalize_log_scale():
     assert abs(scaled.inverse(scaled(2.5)) - 2.5) < 1e-10
 
 
+@pytest.mark.parametrize("base", [F.PowerUtility(1.0), F.PowerUtility(0.5), F.LogUtility(),
+                                  F.LogPowerUtility(1.2, 0.6), F.ExponentialUtility(1.5)])
+def test_scaled_log_eval_past_the_largest_double(base):
+    # 1e300 * x overflows for x = 1e9, log u(1e300 * x) does not
+    u = F.ScaledUtility(base, 1e300)
+    xs = np.array([1e-3, 1.0, 1e7, 1e9, 1e300])
+    want = [base.log_eval(1e300 * x) if x < 1e8 else u.log_at_exp(math.log(x)) for x in xs]
+    assert u.log_eval(xs).tolist() == want
+    assert [u.log_eval(x) for x in xs] == want
+    assert np.isfinite(want).all() and u.log_eval(math.inf) == base.log_eval(math.inf)
+
+
 def test_normalize_table_scale(tmp_path):
     path = tmp_path / "u.csv"
     path.write_text("# saturation=inf\nx,value\n0.0,0.0\n2.0,1.0\n10.0,6.0\n")

@@ -65,8 +65,10 @@ def test_quantile_monotone_all_kernels(rng):
 def test_quantile_domain_error(lognormal):
     with pytest.raises(DomainError):
         lognormal.quantile(0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^quantile level must lie in \(0, 1\) and not be NaN$"):
         lognormal.quantile(1.5)
+    with pytest.raises(DomainError, match=r"^tail level must lie in \(0, 1\)"):
+        lognormal.quantile_upper(0.0)
 
 
 def test_tail_expectation_closed_form(lognormal, rng):
@@ -158,6 +160,18 @@ def test_kernel_rejects_nan_levels_and_states(kernel):
         for arg in (math.nan, np.array([0.25, math.nan])):
             with pytest.raises(DomainError):
                 method(arg)
+        assert type(method(0.25)) is float and type(method(np.array(0.25))) is float
+        assert np.shape(method(np.full((2, 3), 0.25))) == (2, 3)
+    bad = (-0.1, 1.5, np.array([0.25, 1.5]))
+    if isinstance(kernel, LognormalKernel):
+        bad += (0.0, 1.0)  # q_rho is infinite at both ends
+    for method in (kernel.quantile, kernel.quantile_upper):
+        for arg in bad:
+            with pytest.raises(DomainError):
+                method(arg)
+    for arg in (-0.1, 1.5):
+        with pytest.raises(DomainError):
+            kernel.tail_expectation(arg)
 
 
 def test_lognormal_moment_cost(monkeypatch):
