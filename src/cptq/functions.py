@@ -318,7 +318,12 @@ class ScaledUtility(UtilityFunction):
     # each formula hands the base an array, 0-d for a scalar, as ``_eval``
     # would: a numpy scalar's ``**`` rounds differently from an array's
     def _raw(self, arr):
-        return self.base._raw(np.asarray(arr * self.scale))
+        scaled = np.asarray(arr * self.scale)
+        out = self.base._raw(scaled)
+        over = np.isinf(scaled) & np.isfinite(arr)
+        if np.any(over):  # there u is exp of the log form, finite where u is
+            out = np.where(over, np.exp(self._log(arr)), out)
+        return out
 
     def _log(self, arr):
         scaled = np.asarray(arr * self.scale)

@@ -7,8 +7,20 @@ value is the separable rank-weighted sum of f_i(q_i) = gain_weights[i]
 u+(q_i+) - loss_weights[i] u-(q_i-) and the cost is sum_i state_prices[i] q_i,
 both exact, with no quadrature error.
 
-The solver is the Lagrangian method of the quantile formulation (He & Zhou,
-"Portfolio choice via quantiles", Math. Finance 2011) on a fixed lattice of
+Two paths solve it.  For an exponential gain utility and a power loss
+utility of exponent above 1, the split solve is exact over every
+non-decreasing profile constant on the N cells.  Fixing the number j of
+cells in loss splits the problem into a concave gain side and a concave
+loss side; at a multiplier each side is an isotonic problem that pooling
+adjacent violators solves exactly (He & Zhou, "Portfolio choice via
+quantiles", Math. Finance 2011; the split at j is the loss part of Jin &
+Zhou, "Behavioral portfolio selection in continuous time", Math. Finance
+2008).  One pass per side pools every suffix and every prefix at once, a
+root search along each split's chain of blocks meets the budget, and the
+best split wins, in O(N log N) with no level lattice.
+
+Every other class, and a box the split solve's profile does not fit, takes
+the Lagrangian method of the quantile formulation on a fixed lattice of
 levels: for a multiplier lam, the forward pass V_0 = g_0, V_i = g_i +
 prefix-max(V_{i-1}) with g_i(l) = f_i(l) - lam state_prices[i] l gives the
 best non-decreasing lattice profile exactly, and its traceback returns the
@@ -27,14 +39,13 @@ they are the least best profile (barring a tie in the rounded sums, which
 the pass detects), and the running sum of the band maxima, the sweep's
 best sum bit for bit (a zero as +0.0), answers the sweep.  Otherwise the
 forward pass runs over the band, at a cost that scales with its area.  The
-objective is not concave, so the best profile within budget may sit below
-the dual bound by a duality gap.
-
-The dual minimiser barely moves with N, so a solve on many cells first
-finds it alone on COARSE_CELLS cells, sharing the lattice and its level
-utilities, and brackets lam by steps around it instead of doubling up
-from 0.  Since u(0) = 0, the payoff table is built from its halves: the
-gain term on the levels >= 0, minus the loss term below.
+objective need not be concave, so the best lattice profile within budget
+may sit below the dual bound by a duality gap.  The dual minimiser barely
+moves with N, so a lattice solve on many cells first finds it alone on
+COARSE_CELLS cells, sharing the lattice and its level utilities, and
+brackets lam by steps around it instead of doubling up from 0.  Since
+u(0) = 0, the payoff table is built from its halves: the gain term on the
+levels >= 0, minus the loss term below.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import numpy as np
 
 from .choquet import CPTValue, DiscreteLaw
 from .errors import InfeasibleError, ParameterError
-from .functions import write_table_csv
+from .functions import _LOG_MAX, ExponentialUtility, PowerUtility, write_table_csv
 
 FEAS_TOL = 1e-6
 GAP_RTOL = 1e-6
@@ -60,6 +71,8 @@ MAX_CUTS = 50  # safety cap
 COARSE_CELLS = 32  # solves on at least 4x as many cells start from this size's multiplier
 WARM_STEP = 0.02  # first relative step from the coarse multiplier, then x4 per step
 RECT_BLOCK = 1 << 16  # entries of g per block of rows when a band is searched whole
+NEWTON_MAX = 100  # safety cap on the split solve's root steps
+NEWTON_RTOL = 1e-12  # a root step this small ends them: the next would be far smaller
 
 
 @dataclass
@@ -73,20 +86,24 @@ class SolveOptions:
 
 @dataclass
 class SolveDiagnostics:
-    """Sweep trace and the certificate of the returned profile.
+    """Search trace and the certificate of the returned profile.
 
-    ``iterates`` counts the sweeps on the requested cells, not the coarse
-    sweeps that warm-start the multiplier.  Each of them within budget
-    adds the running best value and its E[(X^-)^eta] to the traces; the
-    traces' last entry is the returned profile.
-    ``gap`` is ``bound - value`` (see ``solve``), negative when spending the
-    budget slack beat the bound; ``multiplier`` is the dual minimiser.
-    ``bound``, ``gap`` and ``converged`` cover only profiles on the level
-    lattice with the N uniform cells: a feasible profile off that class, such
-    as one that splits a cell at the gain-loss jump, may beat a ``converged``
-    value.
-    ``box_binds``: the profile reaches the lowest or highest lattice level.
-    ``restarts`` is always 0.
+    On the split path (see ``solve``): ``iterates`` counts the splits j
+    searched, the traces hold the returned profile's value and
+    E[(X^-)^eta] once, ``bound`` is the returned value and ``gap`` 0.0, both
+    over every non-decreasing profile constant on the N cells that costs at
+    most x0; ``converged`` is True and ``multiplier`` the winning split's.
+    On the lattice path: ``iterates`` counts the sweeps on the requested
+    cells, not the coarse sweeps that warm-start the multiplier.  Each of
+    them within budget adds the running best value and its E[(X^-)^eta] to
+    the traces; the traces' last entry is the returned profile.  ``gap`` is
+    ``bound - value``, negative when spending the budget slack beat the
+    bound; ``multiplier`` is the dual minimiser.  ``bound``, ``gap`` and
+    ``converged`` cover only profiles on the level lattice with the N
+    uniform cells: a profile off the lattice, such as the split path's, may
+    beat a ``converged`` value.
+    ``box_binds``: the profile reaches the lowest or highest lattice level
+    (always False on the split path).  ``restarts`` is always 0.
     """
 
     iterates: int = 0
@@ -167,28 +184,193 @@ class _Grid:
 
 
 def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
-    """Best non-decreasing quantile profile within budget, by Lagrangian sweeps.
+    """Best non-decreasing quantile profile on ``n_cells`` cells within budget.
 
-    Returns ``(portfolio, diagnostics)``.  ``diagnostics.bound`` is the dual
-    minimum over lattice profiles (see ``_multiplier_search``): it bounds
-    every non-decreasing profile on the level lattice that costs at most
-    ``x0``; profiles off the lattice are not covered by it.  The solver does
+    Returns ``(portfolio, diagnostics)``.  For an exponential gain utility
+    and a power loss utility of exponent above 1 the split solve
+    (``_split_solve``) finds it exactly: ``diagnostics.bound`` is then the
+    returned value and covers every non-decreasing profile that is constant
+    on the N cells and costs at most ``x0``.  Within a finite box that
+    profile stands when it lies inside the box, since the box only shrinks
+    the feasible set.  Otherwise, and for every other class of preferences,
+    the Lagrangian sweeps over the level lattice answer (``_sweep_solve``),
+    and their bound covers only profiles on the lattice.  The solver does
     not ask whether an optimum exists (``attainability.regime`` does): runs
     outside the existence regime proceed, since watching the loss moments
     blow up is exactly how non-existence shows.
     """
     opts = opts or SolveOptions()
+    grid = _checked_grid(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells, opts)
+    if (type(u_plus) is ExponentialUtility and type(u_minus) is PowerUtility
+            and u_minus.alpha > 1.0):
+        found = _split_solve(grid, x0, opts.eta_moment)
+        if found is not None and opts.q_min <= found[0].q[0] and found[0].q[-1] <= opts.q_max:
+            return found
+    return _sweep_solve(grid, kernel, w_plus, w_minus, x0, opts)
+
+
+def _checked_grid(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells, opts):
+    """The grid on ``n_cells`` cells, once the box is shown non-empty and affordable."""
     if opts.q_min > opts.q_max:
         raise ParameterError("empty box: q_min above q_max")
     grid = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, n_cells)
     if opts.q_min * grid.total_price > x0 + FEAS_TOL:
         raise InfeasibleError("cheapest admissible profile already exceeds the budget")
+    return grid
+
+
+def _split_solve(grid, x0, eta):
+    """The best profile over every split, ``(portfolio, diagnostics)``, for
+    u+(x) = 1 - e^(-a x) and u-(x) = x^alpha with alpha > 1; None where a
+    weight is not positive, no split is feasible or the answer is not finite.
+
+    Split j holds a loss on cells 0..j-1 and a gain on cells j..N-1.  Each
+    side is concave and separable, so at a multiplier lam = e^l pooling
+    adjacent violators solves it exactly (He & Zhou 2011).  The gain side's
+    blocks, pooled until price/gain weight is non-increasing, take
+    x_b = max(0, (c_b - l)/a), with kink c_b = log a - log(P_b/GW_b) non-
+    decreasing along them.  The loss side's, pooled until price/loss weight
+    is non-increasing, take y_b = (lam P_b/(alpha LW_b))^e, e = 1/(alpha - 1).
+    Suffix j's gain blocks are its first block [j, nxt[j]) and then suffix
+    nxt[j]'s, so sums along that chain give its gain budget: with k the first
+    block still active (c_k > l), X_j(l) = (chain[k] - l price_tail[k])/a,
+    chain[k] the sum of P_b c_b from k on.  Prefix j's loss budget is
+    Y_j(l) = loss_mass[j] (lam/alpha)^e.  X_j - Y_j = x0 is decreasing in l:
+    doubling along the chain finds the k that holds its root, and Newton's
+    method from c_k, where X_j - Y_j is concave, approaches it from the
+    right, each step the lesser of the steps on it and on its log form.
+    Split j is worth gain_tail[k] - lam price_tail[k]/a - lam Y_j/alpha.
+    Split 0 holds no loss and needs x0 > 0; split N holds no gain and is
+    searched only for x0 < 0.
+    """
+    a, alpha = grid.u_plus.alpha, grid.u_minus.alpha
+    e, log_a, log_alpha = 1.0 / (alpha - 1.0), math.log(a), math.log(alpha)
+    p, gw, lw = grid.state_prices, grid.gain_weights, grid.loss_weights
+    n = p.size
+    splits = np.arange(0 if x0 > 0.0 else 1, n + 1 if x0 < 0.0 else n)
+    weights = np.concatenate((p, gw, lw))
+    if splits.size == 0 or not (np.isfinite(weights).all() and (weights > 0.0).all()):
+        return None
+    # gain side: suffix j is prefix n - j of the reversed cells
+    start, gsum, psum = _pooled_prefixes(gw[::-1], p[::-1])
+    nxt, gsum, psum = n - start[::-1], gsum[:0:-1], psum[:0:-1]
+    jumps = _doublings(nxt)
+    price_tail = np.append(np.cumsum(p[::-1])[::-1], 0.0)
+    gain_tail = np.append(np.cumsum(gw[::-1])[::-1], 0.0)
+    loss_start, lsum, wsum = _pooled_prefixes(p, lw)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        kink = np.append(log_a - np.log(psum / gsum), np.inf)
+        chain = _chain_sums(np.append(psum * kink[:-1], 0.0), jumps)
+        loss_mass = _chain_sums(np.append(0.0, lsum[1:] * (lsum[1:] / wsum[1:]) ** e),
+                                _doublings(loss_start))
+        log_mass = np.log(loss_mass[splits]) - e * log_alpha  # log Y_j(l) - e l
+
+        def below(k):
+            """Whether X_j - Y_j - x0 < 0 at the kink of each split's node k."""
+            k = np.minimum(k, n - 1)
+            m, ck = nxt[k], kink[k]
+            return (chain[m] - ck * price_tail[m]) / a - x0 < np.exp(
+                np.minimum(log_mass + e * ck, _LOG_MAX))
+
+        # the last chain node whose kink leaves X_j - Y_j >= x0, by doubling
+        last = splits.copy()
+        climb = (splits < n) & ~below(splits)
+        for jump in reversed(jumps):
+            step = jump[last]
+            up = climb & (step < n) & ~below(step)
+            last = np.where(up, step, last)
+        first = np.where(climb, nxt[last], splits)  # the first active gain block
+        # the root's segment ends at its first active block's kink; with no
+        # gain block active the root has Y_j = -x0
+        ell = np.where(first < n, kink[first], (np.log(-x0) - log_mass) / e)
+        lead, slope = chain[first] / a - x0, price_tail[first] / a
+        for _ in range(NEWTON_MAX):
+            log_y = log_mass + e * ell
+            y = np.exp(np.minimum(log_y, _LOG_MAX))
+            spare = lead - slope * ell  # X_j - x0
+            to = np.fmin(ell + (spare - y) / (slope + e * y),
+                         ell + (np.log(spare) - log_y) / (slope / spare + e))
+            done = not (ell - to > NEWTON_RTOL * np.maximum(1.0, np.abs(ell))).any()
+            ell = np.minimum(to, ell)
+            if done:
+                break
+        lam = np.exp(ell)
+        values = gain_tail[first] - lam * slope - lam * np.exp(log_mass + e * ell) / alpha
+        values = np.where(np.isfinite(values), values, -np.inf)
+        best = int(values.argmax())
+        if not values[best] > -np.inf:
+            return None
+        j, ell, lam = int(splits[best]), float(ell[best]), float(lam[best])
+        # the winning split's block ends: gain blocks up from j, loss blocks below it
+        gains, losses = _chain(nxt.tolist(), j, n), _chain(loss_start.tolist(), j, 0)[::-1]
+        q = np.concatenate((
+            -np.exp(e * (ell - log_alpha + np.log(lsum[losses[1:]] / wsum[losses[1:]]))).repeat(
+                np.diff(losses)),
+            np.maximum((kink[gains[:-1]] - ell) / a, 0.0).repeat(np.diff(gains))))
+    q = np.maximum.accumulate(q)  # rounding may not keep the blocks' order
+    value = grid.value(q)
+    portfolio = QuantilePortfolio.__new__(QuantilePortfolio)._on(grid, q)
+    if not (math.isfinite(value) and portfolio.cost <= x0 + FEAS_TOL):
+        return None
+    diag = SolveDiagnostics(iterates=splits.size, value_trace=[value],
+                            neg_moment_trace=[_neg_moment(q, eta)], converged=True,
+                            bound=value, gap=0.0, multiplier=lam)
+    return portfolio, diag
+
+
+def _chain(links, k, end):
+    """The nodes from ``k`` along ``links`` up to ``end``, both included."""
+    nodes = [k]
+    while k != end:
+        k = links[k]
+        nodes.append(k)
+    return np.array(nodes)
+
+
+def _pooled_prefixes(num, den):
+    """Adjacent violators pooled over every prefix of the cells, until the
+    ratio of block sums num/den is non-increasing: for k = 0..n, the start
+    of prefix k's last block and that block's num and den sums, each an
+    array.  Prefix k's blocks are its last block and prefix start[k]'s."""
+    n = len(num)
+    start, nums, dens = [0] * (n + 1), [0.0] * (n + 1), [0.0] * (n + 1)
+    stack = []  # (start, num sum, den sum) of the current prefix's blocks
+    for i, (a, b) in enumerate(zip(num.tolist(), den.tolist())):
+        s = i
+        while stack and stack[-1][1] * b < a * stack[-1][2]:
+            s, a0, b0 = stack.pop()
+            a, b = a0 + a, b0 + b
+        stack.append((s, a, b))
+        start[i + 1], nums[i + 1], dens[i + 1] = s, a, b
+    return np.array(start), np.array(nums), np.array(dens)
+
+
+def _doublings(links):
+    """``links`` and its powers 2, 4, ... up to the first that takes every
+    node to the chains' common end, links' one fixed point."""
+    jumps = [links]
+    while (jumps[-1][jumps[-1]] != jumps[-1]).any():
+        jumps.append(jumps[-1][jumps[-1]])
+    return jumps
+
+
+def _chain_sums(terms, jumps):
+    """Each node's sum of ``terms`` along its chain (the end's term is 0),
+    by doubling over ``_doublings(links)``."""
+    for jump in jumps:
+        terms = terms + terms[jump]
+    return terms
+
+
+def _sweep_solve(grid, kernel, w_plus, w_minus, x0, opts):
+    """The lattice path of ``solve`` on ``grid``, its box already checked."""
     diag = SolveDiagnostics()
+    u_plus, u_minus = grid.u_plus, grid.u_minus
     levels = _lattice(x0, opts.q_min, opts.q_max)
     utilities = (u_plus(levels[levels >= 0.0]), u_minus(-levels[levels < 0.0]))
 
     start = 0.0
-    if n_cells >= 4 * COARSE_CELLS:
+    if grid.p_mid.size >= 4 * COARSE_CELLS:
         coarse = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, COARSE_CELLS)
         start = _warm_multiplier(coarse, levels, coarse.payoff(*utilities), x0)
     payoff = grid.payoff(*utilities)

@@ -484,17 +484,38 @@ def test_registry_kinds_build_from_params(group, kinds, build):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_diagnostics_last_row_is_returned_portfolio(tmp_path, capsys, seed):
     # above the threshold the returned profile comes from spending the budget
-    # slack, after the last sweep
+    # slack, after the last sweep; a logarithmic loss keeps the solve on the
+    # lattice path
     cfg = _write(tmp_path, "o.cfg", OPT_CFG.replace("= 0.5", "= 1.5").replace(
-        "optimize.n = 16", "optimize.n = 64"))
+        "optimize.n = 16", "optimize.n = 64").replace(
+        "utility.minus.kind = power\nutility.minus.alpha = 2.0",
+        "utility.minus.kind = logarithmic"))
     assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path),
                      "--seed", str(seed)]) == 0
+    value, q, rows = _optimize_outputs(tmp_path, capsys)
+    assert len(rows) > 1
+    assert float(rows[-1][1]) == value
+    assert float(rows[-1][2]) == float(np.mean(np.maximum(-q, 0.0) ** 1.2))
+
+
+def test_split_diagnostics_row_is_returned_portfolio(tmp_path, capsys):
+    # an exponential gain and a power-2 loss take the split solve: one row
+    cfg = _write(tmp_path, "o.cfg", OPT_CFG.replace("optimize.n = 16", "optimize.n = 64"))
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 0
+    value, q, rows = _optimize_outputs(tmp_path, capsys)
+    assert len(rows) == 1
+    assert float(rows[0][1]) == value
+    assert float(rows[0][2]) == float(np.mean(np.maximum(-q, 0.0) ** 1.2))
+
+
+def _optimize_outputs(out_dir, capsys):
+    """The printed value, the profile of portfolio.csv and the data rows of
+    diagnostics.csv, split into fields."""
     value = float(capsys.readouterr().out.split("value = ", 1)[1].split(",", 1)[0])
-    rows = (tmp_path / "portfolio.csv").read_text().splitlines()
+    rows = (out_dir / "portfolio.csv").read_text().splitlines()
     q = np.array([float(r.split(",")[1]) for r in rows[rows.index("p,q") + 1:]])
-    last = (tmp_path / "diagnostics.csv").read_text().splitlines()[-1].split(",")
-    assert float(last[1]) == value
-    assert float(last[2]) == float(np.mean(np.maximum(-q, 0.0) ** 1.2))
+    diag = (out_dir / "diagnostics.csv").read_text().splitlines()
+    return value, q, [r.split(",") for r in diag[diag.index("accepted_step,value,neg_moment") + 1:]]
 
 
 @pytest.mark.parametrize("command, key, value", [

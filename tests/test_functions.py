@@ -147,6 +147,22 @@ def test_scaled_log_eval_past_the_largest_double(base):
     assert np.isfinite(want).all() and u.log_eval(math.inf) == base.log_eval(math.inf)
 
 
+@pytest.mark.parametrize("base", [F.PowerUtility(1.0), F.PowerUtility(0.5), F.LogUtility(),
+                                  F.LogPowerUtility(1.2, 0.6), F.ExponentialUtility(1.5)])
+def test_scaled_value_past_the_largest_double(base):
+    # where 1e300 * x overflows the value is exp of the log form, finite
+    # wherever u is a finite double; below that it is the base's own value
+    u = F.ScaledUtility(base, 1e300)
+    xs = np.array([1e-3, 1.0, 1e7, 1e9, 1e300])
+    with np.errstate(over="ignore"):
+        want = [base(1e300 * x) if x < 1e8 else float(np.exp(u.log_eval(x))) for x in xs]
+    assert u(xs).tolist() == want
+    assert [u(x) for x in xs] == want
+    assert u(math.inf) == base(math.inf)
+    assert math.isclose(F.ScaledUtility(F.PowerUtility(0.5), 1e300)(1e9), 10.0 ** 154.5,
+                        rel_tol=1e-13)
+
+
 def test_normalize_table_scale(tmp_path):
     path = tmp_path / "u.csv"
     path.write_text("# saturation=inf\nx,value\n0.0,0.0\n2.0,1.0\n10.0,6.0\n")

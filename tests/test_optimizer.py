@@ -1,13 +1,15 @@
 import math
+import pathlib
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cptq import attainability as attn
+from cptq import cli
 from cptq import functions as F
 from cptq import optimizer
 from cptq.choquet import DiscreteLaw, cpt_value
@@ -15,6 +17,7 @@ from cptq.errors import InfeasibleError, ParameterError
 from cptq.market import DiscreteKernel, LognormalKernel
 from cptq.optimizer import (
     FEAS_TOL,
+    GAP_RTOL,
     QuantilePortfolio,
     SolveOptions,
     _Grid,
@@ -32,6 +35,13 @@ U_EXP = F.ExponentialUtility(1.0)
 U_POW2 = F.PowerUtility(2.0)
 # the preferences of configs/optimize.cfg
 OPT_PREFS = (U_EXP, U_POW2, IDENT, F.AssociatedDistortion(U_POW2, 0.5))
+
+
+def lattice_solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
+    """``solve`` by the lattice sweeps alone, whatever the preferences."""
+    opts = opts or SolveOptions()
+    grid = optimizer._checked_grid(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells, opts)
+    return optimizer._sweep_solve(grid, kernel, w_plus, w_minus, x0, opts)
 
 
 @pytest.fixture(scope="module")
@@ -367,9 +377,10 @@ def test_solve_pushes_mass_to_cheap_states():
 
 
 def test_solve_value_trace_monotone(lognormal):
-    port, diag = solve(lognormal, U_EXP, F.PowerUtility(2.0), IDENT,
-                       F.PowerDistortion(1.0), 1.0, n_cells=32)
+    port, diag = lattice_solve(lognormal, U_EXP, F.PowerUtility(2.0), IDENT,
+                               F.PowerDistortion(1.0), 1.0, n_cells=32)
     vt = diag.value_trace
+    assert len(vt) > 1
     assert all(b >= a for a, b in zip(vt, vt[1:]))
     assert port.cpt.total == vt[-1]
 
@@ -443,10 +454,10 @@ def test_band_sweeps_match_dense_sweeps(lognormal, monkeypatch):
     cases += [(kern, prefs, x0, 5, SolveOptions(q_min=-1.0, q_max=3.0))
               for kern, prefs, x0 in oracle_instances()]
     for kern, prefs, x0, n_cells, opts in cases:
-        port, diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        port, diag = lattice_solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
         with monkeypatch.context() as m:
             m.setattr(optimizer, "_sweep", dense_sweep)
-            ref, ref_diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+            ref, ref_diag = lattice_solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
         np.testing.assert_array_equal(port.q, ref.q)
         assert diag.bound == ref_diag.bound
         assert diag.iterates == ref_diag.iterates
@@ -459,10 +470,10 @@ def test_crossing_search_matches_bisection(lognormal, monkeypatch):
     cases += [(kern, prefs, x0, 5, SolveOptions(q_min=-1.0, q_max=3.0))
               for kern, prefs, x0 in oracle_instances()]
     for kern, prefs, x0, n_cells, opts in cases:
-        port, diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        port, diag = lattice_solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
         with monkeypatch.context() as m:
             m.setattr(optimizer, "_multiplier_search", bisection_search)
-            ref, ref_diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+            ref, ref_diag = lattice_solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
         np.testing.assert_array_equal(port.q, ref.q)
         assert diag.converged == ref_diag.converged
         assert diag.bound <= ref_diag.bound + 1e-12
@@ -473,7 +484,7 @@ def test_bound_is_dual_minimum(lognormal):
     # D(lam) = top(lam) + lam x0 is convex: the bound is its minimum, so no
     # multiplier goes below it and a scalar minimisation reaches it
     x0, n_cells = 1.0, 32
-    _, diag = solve(lognormal, *OPT_PREFS, x0, n_cells=n_cells)
+    _, diag = lattice_solve(lognormal, *OPT_PREFS, x0, n_cells=n_cells)
     grid = _Grid(lognormal, *OPT_PREFS, n_cells)
     levels = _lattice(x0, -math.inf, math.inf)
     payoff = (np.outer(grid.gain_weights, U_EXP(np.maximum(levels, 0.0)))
@@ -500,10 +511,10 @@ def test_warm_start_matches_cold_search(lognormal, monkeypatch):
              for kern, prefs, x0 in oracle_instances()]
     cases += [(lognormal, OPT_PREFS, 1.0, n_cells, SolveOptions()) for n_cells in (64, 256, 1024)]
     for kern, prefs, x0, n_cells, opts in cases:
-        port, diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+        port, diag = lattice_solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
         with monkeypatch.context() as m:
             m.setattr(optimizer, "COARSE_CELLS", math.inf)  # no coarse stage
-            ref, ref_diag = solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
+            ref, ref_diag = lattice_solve(kern, *prefs, x0, n_cells=n_cells, opts=opts)
         np.testing.assert_array_equal(port.q, ref.q)
         assert diag.converged == ref_diag.converged
         assert abs(diag.bound - ref_diag.bound) <= 1e-12 * max(1.0, abs(ref_diag.bound))
@@ -530,7 +541,7 @@ def test_crossing_search_sweep_count(lognormal, monkeypatch):
         monkeypatch.setattr(optimizer, name, counted(name))
     for n_cells in (64, 256, 2048):
         calls.update(_own_best=0, _sweep=0)
-        _, diag = solve(lognormal, *OPT_PREFS, 1.0, n_cells=n_cells)
+        _, diag = lattice_solve(lognormal, *OPT_PREFS, 1.0, n_cells=n_cells)
         assert diag.converged
         assert calls["_sweep"] == 0, (n_cells, calls)
         assert calls["_own_best"] >= diag.iterates
@@ -547,27 +558,29 @@ def test_own_best_shortcut_never_changes_solve(lognormal, monkeypatch):
              ((U_EXP, u_minus, IDENT, F.AssociatedDistortion(u_minus, 1.5)),
               SolveOptions(q_min=-40.0))]
     for prefs, opts in cases:
-        port, diag = solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
+        port, diag = lattice_solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
         with monkeypatch.context() as m:
             m.setattr(optimizer, "_own_best", lambda *args: None)
-            ref, ref_diag = solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
+            ref, ref_diag = lattice_solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
         assert port.q.tobytes() == ref.q.tobytes()
         for name in ("bound", "gap", "multiplier", "value_trace", "neg_moment_trace"):
             assert getattr(diag, name) == getattr(ref_diag, name), name
 
 
 def test_solve_enters_solve_once(lognormal, monkeypatch):
-    # the warm start finds its multiplier without re-entering solve, so a
-    # caller that wraps solve sees one call and one (portfolio, diagnostics)
+    # the warm start finds its multiplier without re-entering solve or the
+    # lattice path, so a caller that wraps them sees one call and one
+    # (portfolio, diagnostics)
     calls = []
-    original = optimizer.solve
+    for name in ("solve", "_sweep_solve"):
+        original = getattr(optimizer, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "solve", counted)
-    optimizer.solve(lognormal, *OPT_PREFS, 1.0, n_cells=256)
+        monkeypatch.setattr(optimizer, name, counted)
+    lattice_solve(lognormal, *OPT_PREFS, 1.0, n_cells=256)
     assert len(calls) == 1
 
 
@@ -593,8 +606,8 @@ def test_bound_covers_lattice_profiles():
     for x0 in (0.6, 1.3):
         levels = _lattice(x0, -1.0, 3.0)[::75]
         best, _ = lattice_oracle(kern, U_EXP, u_m, w_p, w_m, x0, levels, 5)
-        port, diag = solve(kern, U_EXP, u_m, w_p, w_m, x0, n_cells=5,
-                           opts=SolveOptions(q_min=-1.0, q_max=3.0))
+        port, diag = lattice_solve(kern, U_EXP, u_m, w_p, w_m, x0, n_cells=5,
+                                   opts=SolveOptions(q_min=-1.0, q_max=3.0))
         assert diag.bound >= best - 1e-12
         assert port.cpt.total >= best - 1e-12
         assert math.isclose(diag.gap, diag.bound - port.cpt.total)
@@ -662,6 +675,149 @@ def test_box_width_dichotomy(lognormal):
             assert not any(diag.box_binds for _, diag in runs)
             assert max(floors) - min(floors) < 1e-12 and floors[0] > -1.0
             assert max(values) - min(values) < 1e-9
+
+
+@st.composite
+def split_instances(draw):
+    """Exponential gain, power loss above 1, any distortions: (kernel,
+    preferences, x0) of the class the split solve covers."""
+    if draw(st.booleans()):
+        kernel = LognormalKernel(draw(st.floats(0.05, 0.6)))
+    else:
+        n = draw(st.integers(2, 6))
+        values = np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        probs = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+        kernel = DiscreteKernel(values / np.dot(values, probs / probs.sum()), probs / probs.sum())
+    u_minus = F.PowerUtility(draw(st.floats(1.05, 3.0)))
+    w = [draw(st.one_of(registry_member(F.DISTORTION_KINDS),
+                        st.floats(0.2, 2.0).map(lambda d: F.AssociatedDistortion(u_minus, d))))
+         for _ in range(2)]
+    prefs = (F.ExponentialUtility(draw(st.floats(0.2, 3.0))), u_minus, *w)
+    return kernel, prefs, draw(st.floats(-1.0, 2.0))
+
+
+def exact_solve(kernel, prefs, x0, n_cells, opts=None):
+    """``solve``, checked to have answered by the split solve."""
+    port, diag = solve(kernel, *prefs, x0, n_cells=n_cells, opts=opts)
+    assert diag.converged and diag.gap == 0.0 and len(diag.value_trace) == 1
+    assert diag.bound == port.cpt.total == diag.value_trace[-1]
+    assert np.all(np.diff(port.q) >= 0.0) and port.cost <= x0 + FEAS_TOL
+    return port, diag
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=split_instances(), n_cells=st.integers(1, 40))
+def test_split_solve_never_falls_as_cells_halve(case, n_cells):
+    # uniform grids nest: every profile on N cells is one on 2N cells with
+    # the same value and cost, so the exact optimum cannot fall
+    kernel, prefs, x0 = case
+    if x0 == 0.0 and n_cells == 1:
+        n_cells = 2  # one cell and no budget: no split has both sides
+    coarse, _ = exact_solve(kernel, prefs, x0, n_cells)
+    fine, _ = exact_solve(kernel, prefs, x0, 2 * n_cells)
+    assert fine.cpt.total >= coarse.cpt.total - 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=split_instances(), n_cells=st.integers(2, 48))
+def test_split_solve_beats_the_lattice(case, n_cells):
+    # the lattice profiles are some of the profiles on the same cells
+    kernel, prefs, x0 = case
+    port, _ = exact_solve(kernel, prefs, x0, n_cells)
+    lattice, _ = lattice_solve(kernel, *prefs, x0, n_cells=n_cells)
+    assert port.cpt.total >= lattice.cpt.total - 1e-12
+
+
+def slsqp_best(grid, x0, starts, rng):
+    """The best of SLSQP runs from random starts, each result made feasible
+    (sorted up, then lowered evenly to cost at most x0) before it is valued."""
+    n = grid.p_mid.size
+    constraints = [{"type": "ineq", "fun": lambda q: x0 - grid.cost(q)},
+                   {"type": "ineq", "fun": lambda q: np.diff(q)}]
+    best = -math.inf
+    for _ in range(starts):
+        start = np.sort(rng.normal(x0, 2.0, n))
+        found = minimize(lambda q: -grid.value(q), start, method="SLSQP",
+                         constraints=constraints, options={"maxiter": 500, "ftol": 1e-15})
+        q = np.maximum.accumulate(found.x)
+        q -= max(grid.cost(q) - x0, 0.0) / grid.total_price
+        best = max(best, grid.value(q))
+    return best
+
+
+def test_split_solve_against_slsqp():
+    # on 6-cell grids, local searches from many starts never beat it
+    rng = np.random.default_rng(6)
+    for trial in range(12):
+        kernel = LognormalKernel(rng.uniform(0.1, 0.5))
+        u_minus = F.PowerUtility(rng.uniform(1.2, 3.0))
+        w_minus = (F.AssociatedDistortion(u_minus, rng.uniform(0.3, 1.8)) if trial % 2
+                   else F.PowerDistortion(rng.uniform(0.5, 2.0)))
+        prefs = (F.ExponentialUtility(rng.uniform(0.5, 2.0)), u_minus,
+                 F.PrelecDistortion(1.0, rng.uniform(0.5, 0.9)) if trial % 3 else IDENT, w_minus)
+        x0 = (-0.5, 0.0, 1.0)[trial % 3] if trial < 6 else rng.uniform(0.2, 2.0)
+        port, _ = exact_solve(kernel, prefs, x0, 6)
+        assert slsqp_best(_Grid(kernel, *prefs, 6), x0, 20, rng) <= port.cpt.total + 1e-10
+
+
+def test_split_solve_without_budget(lognormal):
+    # x0 <= 0 leaves split 0 (no loss) infeasible: a loss pays for any gain.
+    # One cell must then hold the whole debt, at no gain
+    u_minus, w_minus = F.PowerUtility(2.0), F.PowerDistortion(1.3)
+    prefs = (U_EXP, u_minus, IDENT, w_minus)
+    port, diag = exact_solve(lognormal, prefs, -0.5, 1)
+    assert diag.iterates == 1
+    assert port.q.tolist() == [-0.5]
+    assert math.isclose(port.cpt.total, -0.25, rel_tol=1e-14)
+    for x0 in (0.0, -0.5):
+        port, diag = exact_solve(lognormal, prefs, x0, 64)
+        assert diag.iterates == (63 if x0 == 0.0 else 64)
+        assert port.q[0] < 0.0 and abs(port.cost - x0) < 1e-12
+        if x0 == 0.0:
+            assert port.cpt.total >= 0.0  # the zero profile fits
+        lattice, _ = lattice_solve(lognormal, *prefs, x0, n_cells=64)
+        assert port.cpt.total >= lattice.cpt.total - 1e-12
+    # with one cell and no budget no split has both sides: the lattice answers
+    port, diag = solve(lognormal, *prefs, 0.0, n_cells=1)
+    assert len(diag.value_trace) > 1 and port.q.tolist() == [0.0]
+
+
+def test_split_solve_leaves_a_binding_box_to_the_lattice(lognormal):
+    # the unboxed optimum lies inside q_min = -1, so it answers there; with
+    # q_min = -0.1 it does not fit, and the lattice searches the box
+    prefs = OPT_PREFS
+    free, _ = exact_solve(lognormal, prefs, 1.0, 256)
+    boxed, _ = exact_solve(lognormal, prefs, 1.0, 256, SolveOptions(q_min=-1.0))
+    assert boxed.q.tobytes() == free.q.tobytes() and free.q[0] < -0.1
+    port, diag = solve(lognormal, *prefs, 1.0, n_cells=256, opts=SolveOptions(q_min=-0.1))
+    ref, ref_diag = lattice_solve(lognormal, *prefs, 1.0, n_cells=256,
+                                   opts=SolveOptions(q_min=-0.1))
+    assert port.q.tobytes() == ref.q.tobytes() and diag.bound == ref_diag.bound
+    assert port.q[0] >= -0.1 and port.cpt.total <= free.cpt.total
+
+
+def test_split_bound_covers_lattice_profiles():
+    # the split solve's bound covers every monotone profile on the cells,
+    # those of test_bound_covers_lattice_profiles' boxed lattice among them
+    kern = DiscreteKernel([0.5, 0.9, 1.4, 2.0], [0.3, 0.3, 0.2, 0.2])
+    prefs = (U_EXP, F.PowerUtility(2.0), F.PrelecDistortion(1.0, 0.65), F.PowerDistortion(1.2))
+    for x0 in (0.6, 1.3):
+        best, _ = lattice_oracle(kern, *prefs, x0, _lattice(x0, -1.0, 3.0)[::75], 5)
+        port, diag = exact_solve(kern, prefs, x0, 5)
+        assert diag.bound >= best - 1e-12
+
+
+def test_shipped_optimize_config_rises_with_cells():
+    # configs/optimize.cfg on finer and finer grids: the value never falls
+    # and every solve converges (the lattice stalled at N = 1024)
+    cfg = cli.load_config(str(pathlib.Path(__file__).parent.parent / "configs" / "optimize.cfg"))
+    kernel, prefs = cli.build_kernel(cfg), cli.build_preferences(cfg)
+    previous = -math.inf
+    for n_cells in (64, 256, 512, 1024, 2048):
+        port, diag = solve(kernel, *prefs, float(cfg["x0"]), n_cells=n_cells)
+        assert port.cpt.total >= previous - 1e-12, n_cells
+        assert diag.gap <= GAP_RTOL, n_cells
+        previous = port.cpt.total
 
 
 def test_portfolio_csv(tmp_path, lognormal):
