@@ -323,6 +323,9 @@ def cmd_optimize(cfg, out_dir, seed):
         q_max=_number(cfg, "optimize.q_max", math.inf),
         eta_moment=_number(cfg, "optimize.eta", 1.2, positive=True),
     )
+    if not opts.q_min <= opts.q_max or opts.q_min == math.inf or opts.q_max == -math.inf:
+        raise ConfigError(f"optimize.q_min = {opts.q_min!r}, optimize.q_max = {opts.q_max!r}: "
+                          "the box needs q_min <= q_max, q_min < inf and q_max > -inf")
     n_cells = _number(cfg, "optimize.n", 512, integer=True, positive=True)
     # the sweep's lattice spans the box; a table refuses arguments past its end
     for u, side, key, reach, need in ((u_minus, "minus", "optimize.q_min", -opts.q_min, ">= -"),

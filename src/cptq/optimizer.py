@@ -32,20 +32,14 @@ The Lagrangian has increasing differences in (l, -lam) and the
 non-decreasing profiles form a sublattice, so the least best profile is
 non-increasing in lam (Topkis, "Minimizing a submodular function on a
 lattice", Oper. Res. 1978): each sweep searches only the band between the
-profiles of the nearest swept multipliers on either side.  Before the
-forward pass, one vectorized pass gathers each band once, laid out flat,
-and finds each cell's own best level in it; where those are non-decreasing
-they are the least best profile (barring a tie in the rounded sums, which
-the pass detects), and the running sum of the band maxima, the sweep's
-best sum bit for bit (a zero as +0.0), answers the sweep.  Otherwise the
-forward pass runs over the band, at a cost that scales with its area.  The
-objective need not be concave, so the best lattice profile within budget
-may sit below the dual bound by a duality gap.  The dual minimiser barely
-moves with N, so a lattice solve on many cells first finds it alone on
-COARSE_CELLS cells, sharing the lattice and its level utilities, and
-brackets lam by steps around it instead of doubling up from 0.  Since
-u(0) = 0, the payoff table is built from its halves: the gain term on the
-levels >= 0, minus the loss term below.
+profiles of the nearest swept multipliers on either side, at a cost that
+scales with the band's area.  The objective need not be concave, so the
+best lattice profile within budget may sit below the dual bound by a
+duality gap.  The dual minimiser barely moves with N, so a lattice solve on
+many cells first finds it alone on COARSE_CELLS cells, sharing the lattice
+and its level utilities, and brackets lam by steps around it instead of
+doubling up from 0.  Since u(0) = 0, the payoff table is built from its
+halves: the gain term on the levels >= 0, minus the loss term below.
 """
 
 from __future__ import annotations
@@ -70,7 +64,6 @@ CUT_RTOL = 1e-12  # a cut rising no higher above the bracket's lines ends the se
 MAX_CUTS = 50  # safety cap
 COARSE_CELLS = 32  # solves on at least 4x as many cells start from this size's multiplier
 WARM_STEP = 0.02  # first relative step from the coarse multiplier, then x4 per step
-RECT_BLOCK = 1 << 16  # entries of g per block of rows when a band is searched whole
 NEWTON_MAX = 100  # safety cap on the split solve's root steps
 NEWTON_RTOL = 1e-12  # a root step this small ends them: the next would be far smaller
 
@@ -211,8 +204,9 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
 
 def _checked_grid(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells, opts):
     """The grid on ``n_cells`` cells, once the box is shown non-empty and affordable."""
-    if opts.q_min > opts.q_max:
-        raise ParameterError("empty box: q_min above q_max")
+    if not opts.q_min <= opts.q_max or opts.q_min == math.inf or opts.q_max == -math.inf:
+        raise ParameterError(f"box [{opts.q_min!r}, {opts.q_max!r}] holds no finite level: "
+                             "need q_min <= q_max, q_min < inf and q_max > -inf")
     grid = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, n_cells)
     if opts.q_min * grid.total_price > x0 + FEAS_TOL:
         raise InfeasibleError("cheapest admissible profile already exceeds the budget")
@@ -421,19 +415,17 @@ def _warm_multiplier(grid, levels, payoff, x0):
 
 
 def _lagrangian_sweep(grid, levels, payoff, profiles, lam, x0):
-    """The sweep at ``lam``, (best sum, ``_Swept``), its level indices added
+    """``_sweep`` at ``lam``, (best sum, ``_Swept``), its level indices added
     to ``profiles``.  The nearest larger swept multiplier's profile bounds
-    it from below, the nearest smaller one's from above.  Each profile lies
-    in its own band, so the swept profiles stay ordered and every band is
-    whole, rounding or not, whatever order the multipliers come in."""
+    its band from below, the nearest smaller one's from above.  Each profile
+    lies in its own band, so the swept profiles stay ordered and every band
+    is whole, rounding or not, whatever order the multipliers come in."""
     above = min((m for m in profiles if m >= lam), default=None)
     below = max((m for m in profiles if m <= lam), default=None)
     n, size = payoff.shape
     lower = np.zeros(n, dtype=np.intp) if above is None else profiles[above]
     upper = np.full(n, size - 1, dtype=np.intp) if below is None else profiles[below]
-    neg_levels = -lam * levels
-    top, idx = (_own_best(payoff, grid.state_prices, neg_levels, lower, upper)
-                or _sweep(payoff, grid.state_prices, neg_levels, lower, upper))
+    top, idx = _sweep(payoff, grid.state_prices, -lam * levels, lower, upper)
     profiles[lam] = idx
     q = levels[idx]
     cost = grid.cost(q)
@@ -530,85 +522,6 @@ def _sweep(payoff, prices, neg_levels, lo, hi):
         k = (hi[i] if i == n - 1 else min(idx[i + 1] + 1, hi[i])) - lo[i]
         idx[i] += int(rows[i][:k].argmax()) if k > 1 else 0
     return float(rows[-1][-1]) + 0.0, np.array(idx, dtype=np.intp)
-
-
-def _own_best(payoff, prices, neg_levels, lo, hi):
-    """``_sweep``'s answer (best sum, level indices), found without its
-    forward pass, when the indices are each cell's own first argmax l* of
-    g[i, l] = prices[i] neg_levels[l] + payoff[i, l] over its band
-    ``[lo[i], hi[i]]``; None otherwise.
-
-    If l* is non-decreasing, no monotone path takes a larger g in any cell,
-    and rounded addition is monotone in each term, so the running sums S of
-    the band maxima g(l*) are the sweep's row maxima, the last its best sum
-    by the very operations ``_sweep`` uses on one-level bands.  The
-    traceback moves cell i below l*[i] only where a lower level's row value
-    reaches S[i] too.  That value is at most S[i - 1] plus the cell's best g
-    from l*[i - 1] up, or the previous cell's such bound plus its best g
-    below l*[i - 1]: l* is returned when every bound stays below S.  A band
-    with one side at the lattice's end is searched in blocks of rows, each
-    over its own bounding rectangle of levels in one reused buffer, any
-    other band laid out flat, cell after cell, in one gather.  Each g is the
-    product and sum ``_sweep`` forms, so the roundings agree; a zero is +0.0.
-    """
-    n = lo.size
-    at = np.empty(n + 1, dtype=np.intp)  # at[i + 1] is cell i's argmax
-    at[0] = lo[0]
-    if lo[-1] == 0 or hi[0] == payoff.shape[1] - 1:
-        width = int(hi[-1] - lo[0]) + 1
-        rows = max(1, RECT_BLOCK // width)
-        buffer = np.empty(min(rows, n) * width)
-        top, lower, upper = np.empty((3, n))  # g(l*); best g below, above l*[i - 1]
-        for s in range(0, n, rows):
-            e = min(s + rows, n)
-            a, b = int(lo[s]), int(hi[e - 1]) + 1  # the block's bounding rectangle
-            g = buffer[:(e - s) * (b - a)].reshape(e - s, b - a)
-            g[:] = neg_levels[a:b]
-            g *= prices[s:e, None]
-            g += payoff[s:e, a:b]
-            origin = np.arange(-a, g.size - a, b - a)  # where each row's level 0 would sit
-            at[s + 1:e + 1] = a + g.argmax(axis=1)
-            end, g = origin + at[s + 1:e + 1], g.ravel()
-            top[s:e] = g[end]
-            lower[s:e], upper[s:e] = _below_best(g, origin + lo[s:e],
-                                                 origin + np.maximum(at[s:e], lo[s:e]), end)
-        if not ((lo <= at[1:]).all() and (at[1:] <= hi).all()):
-            return None
-    else:
-        width = hi - lo + 1
-        start = width.cumsum() - width  # where each cell's band starts in flat g
-        shift = lo - start
-        level = shift.repeat(width) + np.arange(start[-1] + width[-1])
-        g = prices.repeat(width) * neg_levels.take(level)
-        g += payoff.take(level + np.arange(0, payoff.size, payoff.shape[1]).repeat(width))
-        top = np.maximum.reduceat(g, start)
-        if np.isnan(top).any():
-            return None
-        hits = (g == top.repeat(width)).nonzero()[0]
-        end = hits[hits.searchsorted(start)]
-        at[1:] = end + shift
-        lower, upper = _below_best(g, start, np.maximum(at[:-1] - shift, start), end)
-    idx = at[1:]
-    if not (idx[:-1] <= idx[1:]).all():
-        return None
-    sums = np.add.accumulate(top)
-    before = np.concatenate(([0.0], sums[:-1]))
-    if not (before + np.maximum(lower, upper) < sums).all():  # some lower V may reach S
-        bound = -math.inf  # the best V below l*, cell by cell
-        for s0, s1, low, up in zip(before.tolist(), sums.tolist(), lower.tolist(), upper.tolist()):
-            bound = max(s0 + up, bound + low)
-            if not bound < s1:
-                return None
-    return float(sums[-1]) + 0.0, idx
-
-
-def _below_best(g, first, mid, end):
-    """The best of flat ``g`` over each cell's positions ``[first[i],
-    mid[i])`` and ``[mid[i], end[i])``, -inf where a range is empty."""
-    ends = np.empty(3 * first.size, dtype=np.intp)
-    ends[0::3], ends[1::3], ends[2::3] = first, mid, end
-    best = np.maximum.reduceat(g, ends)
-    return np.where(first < mid, best[0::3], -np.inf), np.where(mid < end, best[1::3], -np.inf)
 
 
 def _raise_from_top(q, prices, slack, q_max):

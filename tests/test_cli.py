@@ -348,6 +348,17 @@ def test_optimize_box_beyond_table_refused(tmp_path, capsys, side, key, bound):
     assert "converged = " in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("box", ["optimize.q_max = -inf\n", "optimize.q_min = inf\n",
+                                 "optimize.q_min = 2\noptimize.q_max = 1\n"])
+def test_optimize_box_without_finite_level_is_config_error(tmp_path, capsys, box):
+    shipped = pathlib.Path(__file__).parent.parent / "configs" / "optimize.cfg"
+    cfg = _write(tmp_path, "box.cfg", shipped.read_text() + box)
+    assert cli.main(["optimize", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert all(line.split(" = ")[0] in err for line in box.splitlines())
+
+
 def test_demo_level_search_below_sqrt_underflow(tmp_path, capsys):
     # the level bisection runs below 1e-154, where good * bad underflows to 0;
     # the search must end with its own error, not a division by zero

@@ -23,7 +23,6 @@ from cptq.optimizer import (
     _Grid,
     _lattice,
     _multiplier_search,
-    _own_best,
     _sweep,
     solve,
 )
@@ -217,117 +216,48 @@ def test_folded_sweep_zero_sum_is_positive_zero():
     assert np.float64(top).tobytes() == np.float64(want_top).tobytes() == np.float64(0.0).tobytes()
 
 
-def band_argmax(payoff, prices, neg_levels, lo, hi):
-    """Each cell's first argmax of g over its band, one cell at a time."""
-    return np.array([a + int(np.argmax(prices[i] * neg_levels[a:b + 1] + payoff[i, a:b + 1]))
-                     for i, (a, b) in enumerate(zip(lo, hi))], dtype=np.intp)
-
-
-@settings(max_examples=600, deadline=None)
-@given(data=st.data(), n_cells=st.integers(1, 12), n_levels=st.integers(1, 7),
-       side=st.sampled_from(["floor", "ceiling", "both", "whole", "runs"]),
-       rect_block=st.sampled_from([optimizer.RECT_BLOCK, 1, 7, 16]))
-def test_own_best_matches_sweep(data, n_cells, n_levels, side, rect_block):
-    # when the helper answers, it returns the band sweep's levels and its
-    # top bit for bit; where each cell's own best levels are not monotone it
-    # declines.  Payoffs mix small integers (exact sums, many ties) with
-    # floats, signed zeros and terms too small to move a sum of order 1
-    # (rounding ties); float prices and levels give products that round.
-    # "runs" draws the cut phase's bands: runs of one-level cells beside a
-    # few wide ones.  A small RECT_BLOCK splits an open band into blocks of
-    # one to a few rows, each searched over its own bounding rectangle
-    def profile():
-        return np.sort(data.draw(st.lists(st.integers(0, n_levels - 1),
-                                          min_size=n_cells, max_size=n_cells)))
-    lo, hi = np.sort(np.stack([profile(), profile()]), axis=0)
-    if side in ("floor", "whole"):  # bands of a sweep with a swept multiplier on one side
-        lo = np.zeros(n_cells)
-    if side in ("ceiling", "whole"):
-        hi = np.full(n_cells, n_levels - 1)
-    if side == "runs":
-        widths = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, n_levels]),
-                                    min_size=n_cells, max_size=n_cells))
-        hi = np.minimum(np.maximum.accumulate(lo + widths), n_levels - 1)
-    lo, hi = lo.astype(np.intp), hi.astype(np.intp)
-    value = st.one_of(st.integers(-2, 2).map(float), st.floats(-5.0, 5.0),
-                      st.sampled_from([1.0, 1e-17, -1e-17, 2.0 ** -53, -0.0]))
-    payoff = np.array(data.draw(st.lists(value, min_size=n_cells * n_levels,
-                                         max_size=n_cells * n_levels))).reshape(n_cells, n_levels)
-    prices = np.array(data.draw(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]),
-                                                   st.floats(0.0, 2.0)),
-                                         min_size=n_cells, max_size=n_cells)))
-    level = st.one_of(st.integers(-3, 3).map(float), st.floats(-3.0, 3.0), st.just(-0.0))
-    neg_levels = -np.sort(data.draw(st.lists(level, min_size=n_levels, max_size=n_levels)))
-    top, idx = _sweep(payoff, prices, neg_levels, lo, hi)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(optimizer, "RECT_BLOCK", rect_block)
-        own = _own_best(payoff, prices, neg_levels, lo, hi)
-    best = band_argmax(payoff, prices, neg_levels, lo, hi)
-    if np.any(np.diff(best) < 0):
-        assert own is None
-    if own is not None:
-        own_top, own_idx = own
-        np.testing.assert_array_equal(own_idx, best)
-        np.testing.assert_array_equal(own_idx, idx)
-        assert np.float64(own_top).tobytes() == np.float64(top).tobytes()
-
-
 def test_zero_best_sum_is_positive_zero():
-    # g is [0, 0, 0, -0.0]: the sweep's running max ends on the -0.0 of a
-    # tie, the own-best pass on the +0.0 of level 0; both return +0.0
+    # g is [0, 0, 0, -0.0]: the running max ends on the -0.0 of a tie, and
+    # the sum comes back as +0.0
     args = (np.array([[0.0, 0.0, 0.0, -0.0]]), np.zeros(1),
             np.array([-0.0, -0.0, 0.0, -0.0]), np.array([0]), np.array([3]))
-    for fn in (_sweep, _own_best):
-        top, idx = fn(*args)
-        assert (np.float64(top).tobytes(), list(idx)) == (np.float64(0.0).tobytes(), [0])
+    top, idx = _sweep(*args)
+    assert (np.float64(top).tobytes(), list(idx)) == (np.float64(0.0).tobytes(), [0])
 
 
-def test_own_best_declines_rounding_tie():
-    # cell 1's best level adds 1e-20 to a sum of 1, which rounds it away: the
-    # sweep's least maximiser keeps cell 1 at level 0
+def test_sweep_keeps_least_maximiser_under_rounding_tie():
+    # cell 1's own best level adds 1e-20 to a sum of 1, which rounds it
+    # away: the least maximiser keeps cell 1 at level 0
     zeros, band = np.zeros(2), full_band(2, 2)
     payoff = np.array([[1.0, 1.0], [0.0, 1e-20]])
-    assert list(band_argmax(payoff, zeros, zeros, *band)) == [0, 1]
-    assert _own_best(payoff, zeros, zeros, *band) is None
+    assert list(payoff.argmax(axis=1)) == [0, 1]
     assert list(_sweep(payoff, zeros, zeros, *band)[1]) == [0, 0]
-    # here the tie runs through a level below cell 0's best: 1 + (2 - 2^-52)
+    # here the tie runs through a level below cell 0's own best: 1 + (2 - 2^-52)
     # and (1 + 2^-52) + 2 both round to 3
     payoff = np.array([[1.0, 1.0 + 2.0 ** -52], [2.0 - 2.0 ** -52, 2.0]])
-    assert list(band_argmax(payoff, zeros, zeros, *band)) == [1, 1]
-    assert _own_best(payoff, zeros, zeros, *band) is None
+    assert list(payoff.argmax(axis=1)) == [1, 1]
     top, idx = _sweep(payoff, zeros, zeros, *band)
     assert (top, list(idx)) == (3.0, [0, 0])
 
 
-def test_own_best_takes_first_of_tied_levels():
-    # exact ties within a cell collapse to the first level, the sweep's
-    # choice, whether the band is searched whole or cell by cell
+def test_sweep_takes_first_of_tied_levels():
+    # exact ties within a cell collapse to the first level, over the whole
+    # lattice or over a band
     payoff = np.array([[0.0, 2.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     args = (payoff, np.zeros(3), np.zeros(4))
     for lo, hi in (full_band(3, 4), (np.array([1, 1, 1]), np.array([2, 2, 2]))):
-        top, idx = _own_best(*args, lo, hi)
-        assert list(idx) == [1, 1, 2] == list(_sweep(*args, lo, hi)[1])
-        assert top == 4.0 == _sweep(*args, lo, hi)[0]
+        top, idx = _sweep(*args, lo, hi)
+        assert (top, list(idx)) == (4.0, [1, 1, 2])
 
 
-def test_own_best_declines_outside_band(monkeypatch):
-    # a band whose top is the lattice's is searched over its block's
-    # bounding rectangle, where cell 1's best level, 0, lies below its band
-    # [1, 2]: the helper declines although the best levels within the
-    # bands, [0, 2], are monotone
-    payoff = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 1.0]])
-    args = (payoff, np.zeros(2), np.zeros(3))
-    lo, hi = np.array([0, 1]), np.array([2, 2])
-    assert list(band_argmax(*args, lo, hi)) == [0, 2]
-    assert _own_best(*args, lo, hi) is None
-    assert list(_sweep(*args, lo, hi)[1]) == [0, 2]
-    top, idx = _own_best(*args, np.array([0, 0]), hi)
+def test_sweep_stays_in_band():
+    # cell 1's best level over the whole lattice, 0, lies below its band
+    # [1, 2]: the sweep answers within the bands, [0, 2]
+    args = (np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 1.0]]), np.zeros(2), np.zeros(3))
+    top, idx = _sweep(*args, np.array([0, 1]), np.array([2, 2]))
+    assert (top, list(idx)) == (2.0, [0, 2])
+    top, idx = _sweep(*args, np.array([0, 0]), np.array([2, 2]))
     assert (top, list(idx)) == (4.0, [0, 0])
-    # in blocks of one row, cell 1's rectangle is its band: the helper
-    # answers with the sweep's levels and top
-    monkeypatch.setattr(optimizer, "RECT_BLOCK", 1)
-    top, idx = _own_best(*args, lo, hi)
-    assert (top, list(idx)) == (2.0, [0, 2]) == (_sweep(*args, lo, hi)[0], [0, 2])
 
 
 def test_monotone_profile_required(lognormal):
@@ -396,6 +326,13 @@ def test_solve_infeasible_box(lognormal):
     opts = SolveOptions(q_min=5.0, q_max=6.0)
     with pytest.raises(InfeasibleError):
         solve(lognormal, U_EXP, ID_U, IDENT, IDENT, 1.0, n_cells=8, opts=opts)
+
+
+@pytest.mark.parametrize("box", [dict(q_max=-math.inf), dict(q_min=math.inf),
+                                 dict(q_min=2.0, q_max=1.0), dict(q_min=math.nan)])
+def test_solve_refuses_box_without_finite_level(lognormal, box):
+    with pytest.raises(ParameterError, match="q_min <= q_max"):
+        solve(lognormal, *OPT_PREFS, 1.0, n_cells=8, opts=SolveOptions(**box))
 
 
 def oracle_instances():
@@ -522,49 +459,25 @@ def test_warm_start_matches_cold_search(lognormal, monkeypatch):
 
 def test_crossing_search_sweep_count(lognormal, monkeypatch):
     # the coarse multiplier brackets lam in a few sweeps, then a few exact
-    # cuts, and on configs/optimize.cfg every cell of every sweep, the warm
-    # start's included, already sits at its own best level: the own-best pass
-    # answers each sweep and the dynamic programme never runs.  The cold
-    # doubling took 19 sweeps at N = 256, five of them over 40% of the
-    # lattice, and the bisection 52
-    calls = {"_own_best": 0, "_sweep": 0}
+    # cuts; every sweep the diagnostics count is one call of the dynamic
+    # programme.  The cold doubling took 19 sweeps at N = 256, the bisection 52
+    calls = []
+    original = optimizer._sweep
 
-    def counted(name):
-        original = getattr(optimizer, name)
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(optimizer, name, counted(name))
+    monkeypatch.setattr(optimizer, "_sweep", counted)
     for n_cells in (64, 256, 2048):
-        calls.update(_own_best=0, _sweep=0)
+        calls.clear()
         _, diag = lattice_solve(lognormal, *OPT_PREFS, 1.0, n_cells=n_cells)
         assert diag.converged
-        assert calls["_sweep"] == 0, (n_cells, calls)
-        assert calls["_own_best"] >= diag.iterates
+        # the coarse stage's sweeps come on top from 4 * COARSE_CELLS cells on
+        assert len(calls) >= diag.iterates
+        assert (len(calls) == diag.iterates) == (n_cells < 4 * optimizer.COARSE_CELLS)
         if n_cells == 256:
             assert diag.iterates <= 14
-
-
-def test_own_best_shortcut_never_changes_solve(lognormal, monkeypatch):
-    # with the own-best pass declining every sweep, each goes through the
-    # dynamic programme: the same multipliers are swept and every output
-    # agrees bit for bit, in and out of the existence regime
-    u_minus = F.PowerUtility(2.0)
-    cases = [(OPT_PREFS, SolveOptions()),
-             ((U_EXP, u_minus, IDENT, F.AssociatedDistortion(u_minus, 1.5)),
-              SolveOptions(q_min=-40.0))]
-    for prefs, opts in cases:
-        port, diag = lattice_solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
-        with monkeypatch.context() as m:
-            m.setattr(optimizer, "_own_best", lambda *args: None)
-            ref, ref_diag = lattice_solve(lognormal, *prefs, 1.0, n_cells=256, opts=opts)
-        assert port.q.tobytes() == ref.q.tobytes()
-        for name in ("bound", "gap", "multiplier", "value_trace", "neg_moment_trace"):
-            assert getattr(diag, name) == getattr(ref_diag, name), name
 
 
 def test_solve_enters_solve_once(lognormal, monkeypatch):
