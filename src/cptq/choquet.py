@@ -158,14 +158,16 @@ def _choquet_discrete(values, probs, utility, distortion):
 
 
 def atom_value(z, p, utility, distortion):
-    """min(w(p), 1) u(z) for an atom z > 0 of probability p < 1, exp(log u + min(log w, 0))
-    where u overflows: ``_choquet_discrete``'s value, bit for bit (z and p are the
-    one-element arrays it passes, z a reversed view, so numpy runs the same loops)."""
-    z, p = np.array([z])[::-1], np.array([p])
-    u = float(utility(z)[0])
-    if math.isinf(u):  # in logs: a tiny weight may leave the product finite
-        return float(np.exp(utility.log_eval(z) + np.minimum(distortion.log_eval(p), 0.0))[0])
-    return u * min(float(distortion(p)[0]), 1.0) + 0.0
+    """min(w(p), 1) u(z) for an array of atoms z > 0 of probabilities p < 1, exp(log u +
+    min(log w, 0)) where u overflows: ``_choquet_discrete``'s value, bit for bit (u reads
+    z through a reversed view and w reads p contiguous, so numpy runs the same loops)."""
+    z = np.array(z[::-1])[::-1]
+    u = utility(z)
+    over = np.isinf(u)
+    out = np.where(over, 0.0, u) * np.minimum(distortion(p), 1.0) + 0.0
+    if over.any():  # in logs: a tiny weight may leave the product finite
+        out[over] = np.exp(utility.log_eval(z) + np.minimum(distortion.log_eval(p), 0.0))[over]
+    return out
 
 
 def choquet_oracle(law, utility, distortion):

@@ -17,6 +17,8 @@ Q(A) = E[rho; A] is the state-price mass of A and Q(A_n) = E[rho] - Q(A_n^c),
 so Z_n costs b_n/2 - (b_n - 2 x0)/2 = x0; the kernel need not have unit mean.
 Z_n is valued and priced in closed form: V_plus = w_plus(1 - a_n) u_plus(x_n) and V_minus =
 w_minus(a_n) u_minus(y_n) by ``choquet.atom_value``, cost -y_n Q(A_n^c) + x_n Q(A_n).
+The demonstration batches the levels (``_level_chain``) and builds every element
+in one array pass (``_elements``): each function is evaluated once per sequence.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .attainability import ConditionVerdict, regime
 from .choquet import CPTValue, DiscreteLaw, atom_value
-from .errors import ConstructionError, LevelTooLowError
+from .errors import ConstructionError, DomainError, LevelTooLowError
 from .functions import write_table_csv
 from .market import budget
 
@@ -34,24 +38,20 @@ LEVEL_FLOOR = 1e-300
 COST_TOL = 1e-8
 LEVEL_TOL = 1e-9
 DEFAULT_GAP_TOL = 0.05
-
-
 LEVEL_MARGIN = 0.1  # returned level sits a decade below the admissible boundary
 
 
 def find_level(n, kernel, w_minus, u_minus, a_prev=None):
     """Loss probability a with w_minus(a) * u_minus(1/a) < 1/n, strictly
-    below the previous level.
+    below the previous level, and the kernel level b = q_rho(1 - a).
 
-    Locates the admissible boundary (largest a below the cap satisfying the
-    strict inequality) by a halving scan plus at most 80 geometric
-    bisection steps, which stop early once the midpoint rounds to either
-    end (each later step would repeat it, so the level is unchanged); then
-    steps one decade further down so the defining inequality holds with
-    margin rather than by a hair; the product need not be monotone, so the
-    stepped-down candidate is re-verified and pushed deeper if required.
-    The kernel level b = q_rho(1 - a) then satisfies P{rho <= b} = 1 - a by
-    construction.
+    Locates the admissible boundary (largest a below the cap a_prev * 0.999
+    meeting the strict inequality) by a halving scan plus at most 80
+    geometric bisection steps, which stop once the midpoint rounds to either
+    end; then steps a decade (LEVEL_MARGIN) further down so the inequality
+    holds with margin, re-verified since the product need not be monotone.
+    Where the cap and the level cap * LEVEL_MARGIN both meet it, no search
+    runs: ``_level_chain`` batches that case and calls this where it fails.
     """
     if n < 1:
         raise ConstructionError("index n must be at least 1")
@@ -95,6 +95,37 @@ def find_level(n, kernel, w_minus, u_minus, a_prev=None):
     return level, b
 
 
+def _level_chain(n_max, kernel, w_minus, u_minus):
+    """``find_level``'s levels a_1, a_2, ... up to ``n_max``, and the
+    ``ConstructionError`` that ended them early, or None.
+
+    Each cap and level cap * LEVEL_MARGIN is formed with ``find_level``'s
+    float operations while the cap stays above LEVEL_FLOOR; one array
+    evaluation keeps the prefix where both meet the target by more than
+    rounding (arrays may differ from scalars in the last bits), and at the
+    first n that fails ``find_level`` runs.
+    """
+    levels = []
+    while len(levels) < n_max:
+        try:
+            levels.append(find_level(len(levels) + 1, kernel, w_minus, u_minus,
+                                     levels[-1] if levels else None)[0])
+        except ConstructionError as exc:
+            return levels, exc
+        steps, a = [], levels[-1]
+        while len(levels) + len(steps) < n_max and a * 0.999 > LEVEL_FLOOR:
+            a = a * 0.999 * LEVEL_MARGIN
+            steps.append(a)
+        points = np.concatenate((np.array([levels[-1]] + steps)[:-1] * 0.999, steps))
+        target = [-math.log(len(levels) + k) - 1e-12 for k in range(1, len(steps) + 1)]
+        with np.errstate(all="ignore"):
+            lw, lu = w_minus.log_eval(points), u_minus.log_eval(1.0 / points)
+            ok = lw + lu < np.tile(target, 2) - 1e-12 * (np.abs(lw) + np.abs(lu))
+        ok = ok.reshape(2, -1).all(axis=0)  # the cap and the level of each n
+        levels += steps[:int(np.append(ok, False).argmin())]  # up to the first n that fails
+    return levels, None
+
+
 @dataclass
 class SequenceElement:
     """One payoff of the value-climbing sequence; ``law`` is built on read."""
@@ -112,51 +143,62 @@ class SequenceElement:
 
 
 def build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0, level):
-    """Assemble the n-th two-atom payoff at ``level`` = (a, b) from
-    ``find_level`` and verify its defining identities.
-
-    Kernels with atoms cannot realize every level; the nearest achievable
-    one (the survival probability of the kernel level b) is used instead and
-    the adjustment size recorded in ``level_gap``.  The gain event is priced
-    with the kernel's own mean, Q(A_n) = E[rho] - Q(A_n^c), which need not be 1.
-    Value and cost take the module docstring's closed forms; no law is built.
-    """
+    """The n-th two-atom payoff at ``level`` = (a, b) from ``find_level``,
+    its defining identities verified: ``_elements`` on one level."""
     a, b = level
     if b <= 2.0 * x0:
-        raise LevelTooLowError(
-            f"kernel level b={b:.6g} does not exceed twice the capital {x0}; "
-            "increase n"
-        )
-    achieved = float(kernel.survival(b))
-    level_gap = abs(achieved - a)
-    if level_gap > 1e-6 * max(achieved, a):
-        a = achieved
-        log_product = float(w_minus.log_eval(a)) + float(u_minus.log_eval(1.0 / a))
-        if log_product >= -math.log(n):
-            raise ConstructionError(
-                f"nearest achievable level {a:.6g} violates the defining "
-                f"inequality at n={n}"
-            )
-    tail = float(kernel.tail_expectation(a))  # Q(A_n^c), exact in the tiny tail
-    mean = float(kernel.mean)
-    q_event = mean - tail  # Q(A_n) = E[rho] - Q(A_n^c)
-    if tail <= 0.0:
-        raise ConstructionError("degenerate event mass; kernel tail too thin")
-    if q_event <= 0.0:
-        raise ConstructionError(f"gain event carries no price: tail {tail:.6g} >= mean {mean:.6g}")
-    # cheap sanity guard from the derivation: Q(A^c) >= b * P(A^c)
-    if tail < b * a * (1.0 - 1e-9):
-        raise ConstructionError("kernel tail mass inconsistent with its level")
+        raise LevelTooLowError(f"kernel level b={b:.6g} does not exceed twice the capital "
+                               f"{x0}; increase n")
+    return _elements(np.array([n]), np.array([a]), np.array([b]), kernel,
+                     u_plus, u_minus, w_plus, w_minus, x0)[0][0]
 
-    x_atom = b / (2.0 * q_event)
-    y_atom = (b - 2.0 * x0) / (2.0 * tail)
-    cpt = CPTValue(atom_value(x_atom, 1.0 - a, u_plus, w_plus),
-                   atom_value(y_atom, a, u_minus, w_minus))
-    cost = -y_atom * tail + x_atom * q_event  # budget's cells: (0, a) and (a, 1)
-    if not abs(cost - x0) <= COST_TOL:  # a NaN cost (no law checks the atoms) fails too
-        raise ConstructionError(f"cost {cost} deviates from capital {x0}")
-    return SequenceElement(n=n, a_n=a, b_n=b, q_event=q_event, x_atom=x_atom, y_atom=y_atom,
-                           cpt=cpt, cost=cost, level_gap=level_gap)
+
+def _elements(ns, a, b, kernel, u_plus, u_minus, w_plus, w_minus, x0):
+    """The elements n in ``ns`` at levels ``a`` and kernel levels ``b``
+    (arrays) in one array pass, and the (n, a_n, b_n) skipped as b_n <= 2 x0.
+
+    Kernels with atoms cannot realize every level; the nearest achievable
+    one (the survival probability of b) is used and the adjustment recorded
+    in ``level_gap``.  Q(A_n) = E[rho] - Q(A_n^c) uses the kernel's own mean.
+    A failing guard raises for the whole pass.
+    """
+    low = b <= 2.0 * x0
+    skipped = list(zip(ns[low].tolist(), a[low].tolist(), b[low].tolist()))
+    ns, a, b = ns[~low], a[~low], b[~low]
+    with np.errstate(all="ignore"):  # as quiet as the float arithmetic it batches
+        achieved = kernel.survival(b)
+        level_gap = np.abs(achieved - a)
+        moved = level_gap > 1e-6 * np.maximum(achieved, a)
+        a = np.where(moved, achieved, a)
+        if moved.any():  # a level of 0 (a bounded kernel's top) is refused too
+            at, n_at = a[moved], ns[moved]
+            bad = ~(w_minus.log_eval(at) + u_minus.log_eval(1.0 / at)
+                    < [-math.log(n) for n in n_at.tolist()])
+            if bad.any():
+                raise ConstructionError(f"nearest achievable level {at[bad][0]:.6g} violates "
+                                        f"the defining inequality at n={n_at[bad][0]}")
+        tail = kernel.tail_expectation(a)  # Q(A_n^c), exact in the tiny tail
+        mean = float(kernel.mean)
+        q_event = mean - tail  # Q(A_n) = E[rho] - Q(A_n^c)
+        if (tail <= 0.0).any():
+            raise ConstructionError("degenerate event mass; kernel tail too thin")
+        if (q_event <= 0.0).any():
+            raise ConstructionError(f"gain event carries no price: tail "
+                                    f"{tail[q_event <= 0.0][0]:.6g} >= mean {mean:.6g}")
+        # cheap sanity guard from the derivation: Q(A^c) >= b * P(A^c)
+        if (tail < b * a * (1.0 - 1e-9)).any():
+            raise ConstructionError("kernel tail mass inconsistent with its level")
+        x_atom = b / (2.0 * q_event)
+        y_atom = (b - 2.0 * x0) / (2.0 * tail)
+        v_plus = atom_value(x_atom, 1.0 - a, u_plus, w_plus)
+        v_minus = atom_value(y_atom, a, u_minus, w_minus)
+        cost = -y_atom * tail + x_atom * q_event  # budget's cells: (0, a) and (a, 1)
+    off = ~(np.abs(cost - x0) <= COST_TOL)  # a NaN cost (no law checks the atoms) fails too
+    if off.any():
+        raise ConstructionError(f"cost {float(cost[off][0])} deviates from capital {x0}")
+    cols = (ns, a, b, q_event, x_atom, y_atom, v_plus, v_minus, cost, level_gap)
+    return [SequenceElement(*r[:6], CPTValue(*r[6:8]), *r[8:])
+            for r in zip(*(c.tolist() for c in cols))], skipped
 
 
 @dataclass
@@ -243,39 +285,35 @@ def demonstrate_nonattainability(kernel, u_plus, u_minus, w_plus, w_minus, x0,
 
     Refuses configurations that ``attainability.regime`` does not find
     unattainable: there the vanishing levels need not exist and the
-    construction proves nothing.
+    construction proves nothing.  Levels come from ``_level_chain``, all
+    elements from one ``_elements`` pass (replayed one n at a time if a guard
+    fails, so the first failing n raises), then any ``find_level`` refusal.
     """
     if math.isinf(u_plus.saturation):
         raise ConstructionError("demonstration needs a gain utility bounded above")
     verdict = regime(u_minus, w_minus)
     if verdict.holds != "no":
-        raise ConstructionError(
-            f"attainability verdict is '{verdict.holds}' (need 'no'): "
-            "the construction does not apply"
-        )
+        raise ConstructionError(f"attainability verdict is '{verdict.holds}' (need 'no'): "
+                                "the construction does not apply")
 
     report = NonattainabilityReport(ceiling=u_plus.saturation, gap_tol=gap_tol, verdict=verdict)
-    a_prev = None
-    for n in range(1, n_max + 1):
-        level = find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)
-        a_prev = level[0]
-        try:
-            el = build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0,
-                               level=level)
-        except LevelTooLowError:
-            report.skipped.append((n, level[0], level[1]))
-            continue
-        if el.level_gap > LEVEL_TOL:
-            report.notes.append(
-                f"n={n}: kernel level off by {el.level_gap:.3e} "
-                "(kernel has atoms; nearest achievable level used)"
-            )
-        report.elements.append(el)
+    levels, refusal = _level_chain(n_max, kernel, w_minus, u_minus)
+    ns, a = np.arange(1, len(levels) + 1), np.array(levels)
+    args = (kernel, u_plus, u_minus, w_plus, w_minus, x0)
+    try:
+        report.elements, report.skipped = _elements(ns, a, kernel.quantile_upper(a), *args)
+    except (ConstructionError, DomainError):  # replayed one n at a time, the first to fail raises
+        for i in range(ns.size):
+            _elements(ns[i:i + 1], a[i:i + 1], kernel.quantile_upper(a[i:i + 1]), *args)
+        raise
+    if refusal is not None:  # find_level's, raised after the elements before it
+        raise refusal
+    report.notes = [f"n={el.n}: kernel level off by {el.level_gap:.3e} "
+                    "(kernel has atoms; nearest achievable level used)"
+                    for el in report.elements if el.level_gap > LEVEL_TOL]
     if not report.elements:
-        raise ConstructionError(
-            f"no element was feasible up to n_max={n_max}; capital too large "
-            "for the kernel levels reached"
-        )
+        raise ConstructionError(f"no element was feasible up to n_max={n_max}; capital too "
+                                "large for the kernel levels reached")
     if abs(budget(kernel, report.elements[-1].law) - x0) > COST_TOL:  # the one final_gap reads
         raise ConstructionError(f"the last element does not cost the capital {x0}")
     return report

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cptq import cli
+from cptq import constructions
 from cptq import functions as F
 from cptq.choquet import choquet_oracle, cpt_value
 from cptq.constructions import (
@@ -339,3 +340,144 @@ def test_report_csv_and_svg(tmp_path, demo_report):
     demo_report.to_svg(svg_path)
     text = svg_path.read_text()
     assert text.startswith("<svg") and "ceiling" in text
+
+
+# --- the batched level chain and the one array pass against the per-n loop
+
+
+def _sequential(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_max):
+    """The element-by-element loop: ``find_level`` then ``build_element`` per n,
+    an element whose kernel level is below the capital bar skipped."""
+    elements, skipped, a_prev = [], [], None
+    for n in range(1, n_max + 1):
+        level = find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)
+        a_prev = level[0]
+        try:
+            elements.append(build_element(n, kernel, u_plus, u_minus, w_plus, w_minus, x0,
+                                          level=level))
+        except LevelTooLowError:
+            skipped.append((n, *level))
+    return elements, skipped
+
+
+def _chain_market(kind):
+    if kind == "log_associated":
+        kernel, u_minus, w_minus = _log_associated_market()
+        return kernel, F.ExponentialUtility(2.0), u_minus, F.IdentityDistortion(), w_minus, 32
+    kernel, *prefs, n_max, _ = _closed_form_market(kind)
+    return kernel, *prefs, n_max
+
+
+CHAIN_KINDS = ["demo_config", "power", "logarithmic", "log_power", "flat_kernel",
+               "gain_weight_above_one", "log_associated"]
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS)
+def test_level_chain_matches_sequential_find_level(kind, monkeypatch):
+    kernel, _, u_minus, _, w_minus, n_max = _chain_market(kind)
+    want, a_prev = [], None
+    for n in range(1, n_max + 1):
+        a_prev = find_level(n, kernel, w_minus, u_minus, a_prev=a_prev)[0]
+        want.append(a_prev)
+    searched = []
+
+    def counted(n, *args, **kwargs):
+        searched.append(n)
+        return find_level(n, *args, **kwargs)
+
+    monkeypatch.setattr(constructions, "find_level", counted)
+    got, refusal = constructions._level_chain(n_max, kernel, w_minus, u_minus)
+    assert refusal is None
+    assert [a.hex() for a in got] == [a.hex() for a in want]
+    assert searched[0] == 1
+    if kind == "log_power":  # the cap step holds all the way: one search in all
+        assert searched == [1]
+    if kind == "log_associated":  # the cap step fails mid-chain: find_level runs from n = 11
+        assert searched[1] == 11
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS)
+def test_array_pass_matches_build_element(kind):
+    kernel, *prefs, n_max = _chain_market(kind)
+    rep = demonstrate_nonattainability(kernel, *prefs, x0=1.0, n_max=n_max)
+    elements, skipped = _sequential(kernel, *prefs, 1.0, n_max)
+    assert rep.skipped == skipped
+    assert [tuple(map(type, s)) for s in rep.skipped] == [(int, float, float)] * len(skipped)
+    assert len(rep.elements) == len(elements)
+    for got, want in zip(rep.elements, elements):
+        assert type(got.n) is int and got.n == want.n
+        for name in ("a_n", "b_n", "q_event", "x_atom", "y_atom", "cost", "level_gap"):
+            assert type(getattr(got, name)) is float, name
+            assert getattr(got, name).hex() == getattr(want, name).hex(), (got.n, name)
+        assert got.cpt.v_plus.hex() == want.cpt.v_plus.hex(), got.n
+        assert got.cpt.v_minus.hex() == want.cpt.v_minus.hex(), got.n
+
+
+def test_floor_refusal_keeps_its_message():
+    # the chain steps down a decade per n, so the demo config reaches the
+    # underflow floor before n = 300; the refusal comes after the elements before it
+    kernel, *prefs, _, _ = _closed_form_market("demo_config")
+    with pytest.raises(ConstructionError) as want:
+        _sequential(kernel, *prefs, 1.0, 300)
+    with pytest.raises(ConstructionError) as got:
+        demonstrate_nonattainability(kernel, *prefs, x0=1.0, n_max=300)
+    assert str(got.value) == str(want.value) == "previous level already at the underflow floor"
+    levels, refusal = constructions._level_chain(300, kernel, prefs[3], prefs[1])
+    assert str(refusal) == str(want.value) and 32 < len(levels) < 300
+
+
+class _OverstatedTails(LognormalKernel):
+    """A lognormal kernel whose survival overstates every tail 1000-fold, so
+    each requested level moves to a larger achievable one."""
+
+    def _survival(self, x):
+        return np.minimum(1000.0 * super()._survival(x), 1.0)
+
+
+def test_nearest_level_refusal_keeps_its_message():
+    _, *prefs, _, _ = _closed_form_market("demo_config")
+    kernel = _OverstatedTails(0.2)
+    with pytest.raises(ConstructionError) as want:
+        _sequential(kernel, *prefs, 1.0, 8)
+    with pytest.raises(ConstructionError) as got:
+        demonstrate_nonattainability(kernel, *prefs, x0=1.0, n_max=8)
+    assert type(got.value) is type(want.value) is ConstructionError
+    assert str(got.value) == str(want.value)
+    assert re.fullmatch(r"nearest achievable level \S+ violates the defining inequality at n=2",
+                        str(got.value))
+
+
+def test_bounded_kernel_refuses_level_zero():
+    # above its top quantile a bounded table kernel has survival 0: the
+    # nearest achievable level 0 is refused, with no division by it
+    kernel = TableKernel([0.0, 0.3, 0.7, 0.99, 0.9999, 0.9999999, 1.0],
+                         [0.05, 0.6, 1.1, 3.0, 9.0, 40.0, 200.0], strict=True)
+    _, *prefs, _, _ = _closed_form_market("demo_config")
+    with pytest.raises(ConstructionError, match="nearest achievable level 0 violates the "
+                                                "defining inequality at n=11"):
+        demonstrate_nonattainability(kernel, *prefs, x0=1.0, n_max=32, gap_tol=1.0)
+
+
+class _TwoFaults(_OverstatedTails):
+    """Tail masses above level 1e-10 halved, and tails overstated above state
+    5 only: an early n fails the tail-mass guard and later ones the
+    nearest-level check, which an array pass runs first."""
+
+    def _tail(self, eps):
+        return np.where(eps > 1e-10, 0.5, 1.0) * super()._tail(eps)
+
+    def _survival(self, x):
+        return np.where(x > 5.0, super()._survival(x), LognormalKernel._survival(self, x))
+
+
+def test_first_failing_n_raises_across_guards():
+    _, *prefs, _, _ = _closed_form_market("demo_config")
+    kernel = _TwoFaults(0.2)
+    with pytest.raises(ConstructionError) as want:
+        _sequential(kernel, *prefs, 1.0, 32)
+    with pytest.raises(ConstructionError) as got:
+        demonstrate_nonattainability(kernel, *prefs, x0=1.0, n_max=32)
+    assert str(got.value) == str(want.value) == "kernel tail mass inconsistent with its level"
+    ns, a = np.arange(1, 33), np.array(constructions._level_chain(32, kernel, prefs[3], prefs[1])[0])
+    with pytest.raises(ConstructionError, match="nearest achievable level"):  # the one-pass order
+        constructions._elements(ns, a, kernel.quantile_upper(a), kernel, *prefs, 1.0)
