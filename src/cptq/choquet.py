@@ -159,9 +159,7 @@ def _choquet_discrete(values, probs, utility, distortion):
 
 def atom_value(z, p, utility, distortion):
     """min(w(p), 1) u(z) for an array of atoms z > 0 of probabilities p < 1, exp(log u +
-    min(log w, 0)) where u overflows: ``_choquet_discrete``'s value, bit for bit (u reads
-    z through a reversed view and w reads p contiguous, so numpy runs the same loops)."""
-    z = np.array(z[::-1])[::-1]
+    min(log w, 0)) where u overflows: ``_choquet_discrete``'s value, bit for bit."""
     u = utility(z)
     over = np.isinf(u)
     out = np.where(over, 0.0, u) * np.minimum(distortion(p), 1.0) + 0.0

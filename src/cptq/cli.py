@@ -48,7 +48,7 @@ from . import __version__
 from . import attainability as attn
 from . import constructions, functions, market, optimizer
 from .choquet import DiscreteLaw, cpt_value
-from .errors import AssociationError, ConfigError, DomainError
+from .errors import AssociationError, ConfigError, DomainError, ParameterError
 
 ENV_PREFIX = "CPTQ_"
 
@@ -318,14 +318,14 @@ def cmd_optimize(cfg, out_dir, seed):
     u_plus, u_minus, w_plus, w_minus = build_preferences(cfg)
     x0 = _number(cfg, "x0")
     delta = _number(cfg, "optimize.delta", None, positive=True)
-    opts = optimizer.SolveOptions(
-        q_min=_number(cfg, "optimize.q_min", -math.inf),
-        q_max=_number(cfg, "optimize.q_max", math.inf),
-        eta_moment=_number(cfg, "optimize.eta", 1.2, positive=True),
-    )
-    if not opts.q_min <= opts.q_max or opts.q_min == math.inf or opts.q_max == -math.inf:
-        raise ConfigError(f"optimize.q_min = {opts.q_min!r}, optimize.q_max = {opts.q_max!r}: "
-                          "the box needs q_min <= q_max, q_min < inf and q_max > -inf")
+    q_min = _number(cfg, "optimize.q_min", -math.inf)
+    q_max = _number(cfg, "optimize.q_max", math.inf)
+    eta = _number(cfg, "optimize.eta", 1.2, positive=True)
+    try:
+        opts = optimizer.SolveOptions(q_min=q_min, q_max=q_max, eta_moment=eta)
+    except ParameterError as exc:  # the box holds no finite level
+        raise ConfigError(f"optimize.q_min = {q_min!r}, optimize.q_max = {q_max!r}: "
+                          f"{exc}") from exc
     n_cells = _number(cfg, "optimize.n", 512, integer=True, positive=True)
     # the sweep's lattice spans the box; a table refuses arguments past its end
     for u, side, key, reach, need in ((u_minus, "minus", "optimize.q_min", -opts.q_min, ">= -"),

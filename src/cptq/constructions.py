@@ -101,9 +101,8 @@ def _level_chain(n_max, kernel, w_minus, u_minus):
 
     Each cap and level cap * LEVEL_MARGIN is formed with ``find_level``'s
     float operations while the cap stays above LEVEL_FLOOR; one array
-    evaluation keeps the prefix where both meet the target by more than
-    rounding (arrays may differ from scalars in the last bits), and at the
-    first n that fails ``find_level`` runs.
+    evaluation keeps the prefix where both meet the target, and at the first
+    n that fails ``find_level`` runs.
     """
     levels = []
     while len(levels) < n_max:
@@ -119,8 +118,7 @@ def _level_chain(n_max, kernel, w_minus, u_minus):
         points = np.concatenate((np.array([levels[-1]] + steps)[:-1] * 0.999, steps))
         target = [-math.log(len(levels) + k) - 1e-12 for k in range(1, len(steps) + 1)]
         with np.errstate(all="ignore"):
-            lw, lu = w_minus.log_eval(points), u_minus.log_eval(1.0 / points)
-            ok = lw + lu < np.tile(target, 2) - 1e-12 * (np.abs(lw) + np.abs(lu))
+            ok = w_minus.log_eval(points) + u_minus.log_eval(1.0 / points) < np.tile(target, 2)
         ok = ok.reshape(2, -1).all(axis=0)  # the cap and the level of each n
         levels += steps[:int(np.append(ok, False).argmin())]  # up to the first n that fails
     return levels, None

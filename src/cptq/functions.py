@@ -16,9 +16,13 @@ Only the base classes validate: each evaluator checks its argument once, in
 ``_log_exp`` and ``_inverse`` (``inverse`` first refuses targets at or
 above the saturation); the defaults derive the log forms from ``_raw``.  A
 formula calls formulas, never a public evaluator, so nothing is validated
-twice.  Each parametric class declares its constructor arguments once, in
-``params``; ``UTILITY_KINDS`` and ``DISTORTION_KINDS`` map every parametric
-``kind`` to its class, and the CLI builds preferences from them.
+twice.  Every formula, here and in the pricing kernels, sees a C-contiguous
+array of at least one dimension (``_checked``), so numpy runs the same
+loops for a float, a 1-element array, a strided view and a point inside an
+array, and each gives the same bits.  Each parametric class declares its
+constructor arguments once, in ``params``; ``UTILITY_KINDS`` and
+``DISTORTION_KINDS`` map every parametric ``kind`` to its class, and the
+CLI builds preferences from them.
 """
 
 from __future__ import annotations
@@ -40,15 +44,18 @@ _LOG_MAX = 700.0  # exp() overflows shortly above this
 def _checked(fn, x, lo, hi, what, named=None):
     """Check that every point lies in [lo, hi] (a NaN lies in none; a
     refusal names the interval as ``named``, else as [lo, hi]) and apply
-    ``fn``, preserving scalar-ness.  The one argument gate of the package:
-    the preference evaluators reach it through ``_eval``, the pricing
-    kernels' directly."""
+    ``fn`` to a C-contiguous copy of them with at least one dimension: a 0-d
+    input is passed as one element and its value returned as a float.  The
+    copy also gives a 1-element view unit stride, which numpy's contiguous
+    loops need and ``np.ascontiguousarray`` does not give it.  The one
+    argument gate of the package: the preference evaluators reach it
+    through ``_eval``, the pricing kernels' directly."""
     arr = np.asarray(x, dtype=float)
-    inside = (arr >= lo) & (arr <= hi)  # a numpy bool, not an array, when arr is 0-d
-    if not (inside.all() if arr.ndim else inside):
+    flat = np.array(arr, order="C", ndmin=1)
+    if not ((flat >= lo) & (flat <= hi)).all():
         raise DomainError(f"{what} must lie in {named or f'[{lo}, {hi}]'} and not be NaN")
-    out = fn(arr)
-    return float(out) if arr.ndim == 0 else out
+    out = fn(flat)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def _eval(fn, x, lo=0.0, hi=math.inf, what="argument"):
@@ -60,7 +67,6 @@ def _eval(fn, x, lo=0.0, hi=math.inf, what="argument"):
 
 def _log1p_exp(t):
     # log(1+e^t) = t + log1p(e^-t) for large t, log1p(e^t) otherwise
-    t = np.asarray(t, dtype=float)
     small = np.minimum(t, 35.0)
     out = np.log1p(np.exp(small))
     big = t > 35.0
@@ -315,10 +321,8 @@ class ScaledUtility(UtilityFunction):
         self.saturation = base.saturation
         self.kind = base.kind
 
-    # each formula hands the base an array, 0-d for a scalar, as ``_eval``
-    # would: a numpy scalar's ``**`` rounds differently from an array's
     def _raw(self, arr):
-        scaled = np.asarray(arr * self.scale)
+        scaled = arr * self.scale
         out = self.base._raw(scaled)
         over = np.isinf(scaled) & np.isfinite(arr)
         if np.any(over):  # there u is exp of the log form, finite where u is
@@ -326,16 +330,16 @@ class ScaledUtility(UtilityFunction):
         return out
 
     def _log(self, arr):
-        scaled = np.asarray(arr * self.scale)
+        scaled = arr * self.scale
         out = self.base._log(scaled)
         over = np.isinf(scaled) & np.isfinite(arr)  # scale * x passes the largest double
         if np.any(over):  # there log u(scale * x) is the growth transform at log x + log scale
             t = np.log(np.where(over, arr, 1.0)) + math.log(self.scale)
-            out = np.where(over, self.base._log_exp(np.asarray(t)), out)
+            out = np.where(over, self.base._log_exp(t), out)
         return out
 
     def _log_exp(self, arr):
-        return self.base._log_exp(np.asarray(arr + math.log(self.scale)))
+        return self.base._log_exp(arr + math.log(self.scale))
 
     def _inverse(self, arr):
         return self.base._inverse(arr) / self.scale
@@ -446,9 +450,8 @@ class AssociatedDistortion(DistortionFunction):
 
     def _log(self, arr):
         # under _eval's errstate 1/0 = inf, and log u(inf) = inf gives
-        # log w(0) = -inf and w(0) = exp(-inf) = 0; the utility gets an
-        # array, 0-d for a scalar, as its own ``_eval`` would give it
-        return self.delta * (self._log_u1 - self.utility._log(np.asarray(1.0 / arr)))
+        # log w(0) = -inf and w(0) = exp(-inf) = 0
+        return self.delta * (self._log_u1 - self.utility._log(1.0 / arr))
 
     def _params(self):
         return f"utility={self.utility!r}, delta={self.delta}"

@@ -60,19 +60,11 @@ def _lost(x, s):
 
 
 def _ndtr(x):
-    """Phi(x) = erfc(-x / sqrt 2) / 2 elementwise; a float for a 0-d input.
+    """Phi(x) = erfc(-x / sqrt 2) / 2 elementwise on an array.
 
     In the far lower tail the first-order term of what rounding -x / sqrt 2
     lost is added back, so Phi keeps its relative accuracy down to 1e-300.
     """
-    if np.ndim(x) == 0:
-        x = float(x)
-        s = -_SQRT_HALF * x
-        out = 0.5 * math.erfc(s)
-        if _TAIL_FIX_FROM < s < math.inf:
-            out -= _INV_SQRT_PI * math.exp(-s * s) * _lost(x, s)
-        return out
-    x = np.asarray(x, dtype=float)
     s = -_SQRT_HALF * x
     t = s.ravel().tolist()
     out = 0.5 * np.fromiter(map(math.erfc, t), float, len(t)).reshape(x.shape)
@@ -84,12 +76,8 @@ def _ndtr(x):
 
 
 def _ndtri(p):
-    """Phi^-1 elementwise on [0, 1], -inf at 0 and inf at 1; a float for a
-    0-d input.  Only the interior levels reach ``inv_cdf``."""
-    if np.ndim(p) == 0:
-        p = float(p)
-        return _INV_CDF(p) if 0.0 < p < 1.0 else -math.inf if p < 0.5 else math.inf
-    p = np.asarray(p, dtype=float)
+    """Phi^-1 elementwise on an array of [0, 1], -inf at 0 and inf at 1.
+    Only the interior levels reach ``inv_cdf``."""
     out = np.where(p < 0.5, -math.inf, math.inf)
     inner = (p > 0.0) & (p < 1.0)
     t = p[inner].tolist()
@@ -431,7 +419,7 @@ def check_assumptions(kernel, moment_orders=(1, 2, 4, 8, 16)):
                               continuous_evidence=kernel.continuity_evidence())
 
     levels = [10.0 ** -j for j in range(1, TAIL_LEVELS + 1)]
-    top = [float(kernel.quantile_upper(e)) for e in levels]
+    top = kernel.quantile_upper(levels).tolist()
     report.unbounded_evidence = [[e, q] for e, q in zip(levels, top)]
     growing = all(b > a for a, b in zip(top, top[1:]))
     if growing and top[-1] > 1.2 * top[len(top) // 2]:

@@ -70,11 +70,17 @@ NEWTON_RTOL = 1e-12  # a root step this small ends them: the next would be far s
 
 @dataclass
 class SolveOptions:
-    """The admissible box of quantile levels and the bookkeeping settings."""
+    """The admissible box of quantile levels, refused where it holds no
+    finite level, and the bookkeeping settings."""
 
     q_min: float = -math.inf
     q_max: float = math.inf
     eta_moment: float = 1.2
+
+    def __post_init__(self):
+        if not self.q_min <= self.q_max or self.q_min == math.inf or self.q_max == -math.inf:
+            raise ParameterError(f"box [{self.q_min!r}, {self.q_max!r}] holds no finite level: "
+                                 "need q_min <= q_max, q_min < inf and q_max > -inf")
 
 
 @dataclass
@@ -203,10 +209,7 @@ def solve(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells=512, opts=None):
 
 
 def _checked_grid(kernel, u_plus, u_minus, w_plus, w_minus, x0, n_cells, opts):
-    """The grid on ``n_cells`` cells, once the box is shown non-empty and affordable."""
-    if not opts.q_min <= opts.q_max or opts.q_min == math.inf or opts.q_max == -math.inf:
-        raise ParameterError(f"box [{opts.q_min!r}, {opts.q_max!r}] holds no finite level: "
-                             "need q_min <= q_max, q_min < inf and q_max > -inf")
+    """The grid on ``n_cells`` cells, once the box is shown affordable."""
     grid = _Grid(kernel, u_plus, u_minus, w_plus, w_minus, n_cells)
     if opts.q_min * grid.total_price > x0 + FEAS_TOL:
         raise InfeasibleError("cheapest admissible profile already exceeds the budget")

@@ -266,8 +266,9 @@ def _closed_form_market(kind):
         w_plus = F.TableDistortion([0.0, 0.5, 1.0], [0.0, 0.5, 1.0 + 5e-13])
         return LognormalKernel(0.2), u_plus, F.LogUtility(), w_plus, prelec, 32, 0.05
     u_minus, delta = {
-        # u_minus(y_n) overflows from n = 9 on; at n = 2 u_minus(y_n) on a
-        # contiguous array is one ulp off the reversed view cpt_value reads
+        # u_minus(y_n) overflows from n = 9 on; at n = 2 numpy's strided loop
+        # rounds u_minus(y_n) one ulp off its contiguous one, and cpt_value
+        # hands y_n over as a reversed view
         "power": (F.PowerUtility(2.5), 1.003),
         "logarithmic": (F.LogUtility(), 1.574532),
         "log_power": (F.LogPowerUtility(1.2, 0.6), 1.6),

@@ -1,12 +1,14 @@
-"""Every evaluator of the preference catalogue, pinned bit for bit.
+"""Every evaluator of the preference catalogue, pinned bit for bit, and
+every evaluator of the catalogue and the pricing kernels giving a point one
+value however the point is passed.
 
 Each value below was recorded from the evaluators as they stood before
 their formulas moved into ``_raw``/``_log``/``_log_exp``/``_inverse``; a
-refactor of ``functions`` keeps every bit, the 0-d path included (a numpy
-scalar's ``**`` rounds differently from an array's).  A string is the
-exception the point raises, a ``RuntimeWarning`` included, since warnings
-are errors here.  An overflowing preimage is inf, as every other overflow
-is, and every evaluator refuses NaN.
+refactor of ``functions`` keeps every bit.  A float and the same point
+inside an array give the same bits, so one table pins both.  A string is
+the exception the point raises, a ``RuntimeWarning`` included, since
+warnings are errors here.  An overflowing preimage is inf, as every other
+overflow is, and every evaluator refuses NaN.
 """
 
 import math
@@ -14,8 +16,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cptq import functions as F
+from cptq.market import DiscreteKernel, LognormalKernel, TableKernel
 
 INF = math.inf
 # utility points: zero, the least subnormal, tiny, ordinary, past e^t's
@@ -210,7 +215,7 @@ GOLDEN = {
     ],
     ('prelec(0.8, 0.5)', 'log_eval'): [
         -INF, -21.82754328892017, -21.02608707902773, -4.205217415805546, -0.877805556355506,
-        -0.6660436889261582, -0.0, 'DomainError', 'DomainError'
+        -0.6660436889261582, 0.0, 'DomainError', 'DomainError'
     ],
     ('associated power(2), 0.5', '__call__'): [
         0.0, 0.0, 1.0000000000000237e-300, 1.000000000000001e-12, 0.3, 0.5, 1.0, 'DomainError',
@@ -236,12 +241,6 @@ GOLDEN = {
         -INF, -INF, -48.51470546365959, -7.032494381874732, -1.0731025806435814,
         -0.7704891185771027, 0.0, 'DomainError', 'DomainError'
     ],
-}
-
-# where an array's element differs from the scalar result: (point, value)
-ARRAY_GOLDEN = {
-    # -0.8 * (-log 1) ** 0.5: the scalar power keeps -0.0's sign apart
-    ("prelec(0.8, 0.5)", "log_eval"): {1.0: 0.0},
 }
 
 
@@ -273,10 +272,9 @@ def test_evaluator_bits(name, method):
     want = GOLDEN[name, method]
     assert [pinned(outcome(fn, x)) for x in points] == [pinned(v) for v in want]
     ok = [(x, v) for x, v in zip(points, want) if not isinstance(v, str)]
-    override = ARRAY_GOLDEN.get((name, method), {})
     got = outcome(fn, np.array([x for x, _ in ok]))
     assert not isinstance(got, str) and got.dtype == np.float64
-    assert got.tobytes() == np.array([override.get(x, v) for x, v in ok]).tobytes()
+    assert got.tobytes() == np.array([v for _, v in ok]).tobytes()
 
 
 @pytest.mark.parametrize("name, method", list(GOLDEN), ids=lambda v: v)
@@ -293,3 +291,58 @@ def test_each_evaluation_validates_once(name, method, monkeypatch):
     fn(0.5)
     fn(np.array([0.25, 0.5]))
     assert len(calls) == 2
+
+
+def one_value_cases():
+    """{id: (evaluator, lo, hi)} for every public evaluator of the catalogue
+    (a table distortion added) and of the lognormal, table and discrete
+    kernels, with an interval of points it evaluates without refusing."""
+    cases = {}
+    for name, u in UTILITIES.items():
+        table = isinstance(u, F.TableUtility)
+        hi = u.xs[-1] if table else math.inf
+        top = math.nextafter(u.values[-1] if table else u.saturation, 0.0)
+        cases[name, "__call__"] = (u.__call__, 0.0, hi)
+        cases[name, "log_eval"] = (u.log_eval, 0.0, hi)
+        cases[name, "log_at_exp"] = (u.log_at_exp, 0.0, math.log(hi))
+        cases[name, "inverse"] = (u.inverse, 0.0, top)
+    table = F.TableDistortion([0.0, 0.3, 1.0], [0.0, 0.6, 1.0])
+    distortions = dict(DISTORTIONS, **{"table distortion": table})
+    for name, w in distortions.items():
+        for method in DISTORTION_EVALUATORS:
+            cases[name, method] = (getattr(w, method), 0.0, 1.0)
+    for k in (LognormalKernel(0.3), TableKernel([0.0, 0.5, 1.0], [0.5, 1.0, 3.0]),
+              DiscreteKernel([0.5, 1.0, 2.0], [0.25, 0.5, 0.25])):
+        for method, (lo, hi) in (("quantile", k.levels), ("quantile_upper", k.levels),
+                                 ("cdf", (-1.0, 1e6)), ("survival", (-1.0, 1e6)),
+                                 ("tail_expectation", (0.0, 1.0))):
+            cases[repr(k), method] = (getattr(k, method), lo, hi)
+    return cases
+
+
+ONE_VALUE_CASES = one_value_cases()
+
+
+@pytest.mark.parametrize("case", list(ONE_VALUE_CASES), ids=" ".join)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_point_has_one_value_however_it_is_passed(case, data):
+    # every formula sees a C-contiguous array with unit stride, so numpy runs
+    # the same loops for each form of a point as for a contiguous array
+    fn, lo, hi = ONE_VALUE_CASES[case]
+    near = st.floats(lo, min(hi, lo + 10.0))  # ordinary points, where the rounding varies
+    points = np.array(data.draw(st.lists(near | st.floats(lo, hi), min_size=1, max_size=40)))
+    backwards = points[::-1]
+    got = {
+        "float": [fn(float(x)) for x in points],
+        "0-d array": [fn(np.array(x)) for x in points],
+        "1-element array": [fn(np.array([x]))[0] for x in points],
+        "1-element reversed view": [fn(backwards[-1 - i:points.size - i])[0]
+                                    for i in range(points.size)],
+        "reversed view": fn(backwards)[::-1],
+        "Fortran-ordered 2-D": fn(np.asfortranarray(np.stack((backwards, points))))[1],
+    }
+    assert {type(v) for v in got["float"] + got["0-d array"]} == {float}
+    want = [float(v).hex() for v in fn(points)]
+    assert {form: [float(v).hex() for v in vs] for form, vs in got.items()} == dict.fromkeys(
+        got, want)

@@ -124,7 +124,11 @@ def test_normal_quantile_matches_mpmath(levels):
     ref = np.array([_mp_ndtri(p) for p in levels])
     got = market._ndtri(levels)
     assert np.all(np.abs(got - ref) <= 2e-14 * np.abs(ref))
-    assert [market._ndtri(p) for p in levels[::37]] == got[::37].tolist()
+    # the kernel's quantiles read Phi^-1: a float level gives the bits of the array
+    k = LognormalKernel(0.3)
+    for method in (k.quantile, k.quantile_upper):
+        assert [method(float(p)).hex() for p in levels[::37]] == [
+            v.hex() for v in method(levels)[::37].tolist()]
 
 
 def test_normal_cdf_matches_mpmath():
@@ -135,17 +139,26 @@ def test_normal_cdf_matches_mpmath():
     assert keep.sum() > 1200
     got = market._ndtr(z)
     assert np.all(np.abs(got - ref)[keep] <= 1e-13 * ref[keep])
-    assert [market._ndtr(t) for t in z[::37]] == got[::37].tolist()
+    # the kernel's cdf and survival read Phi at these scores: a float state
+    # gives the bits of the array
+    k = LognormalKernel(0.3)
+    states = np.exp(k.mu + k.sigma * z)
+    for method in (k.cdf, k.survival):
+        assert [method(float(x)).hex() for x in states[::37]] == [
+            v.hex() for v in method(states)[::37].tolist()]
 
 
 def test_normal_cdf_and_quantile_ends_and_scalars():
-    assert market._ndtri(0.0) == -math.inf and market._ndtri(1.0) == math.inf
     assert market._ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
-    assert market._ndtr(-math.inf) == 0.0 and market._ndtr(math.inf) == 1.0
     assert market._ndtr(np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
-    for value in (0.3, np.float64(0.3), np.array(0.3)):
-        assert type(market._ndtri(value)) is float
-        assert type(market._ndtr(value)) is float
+    k = LognormalKernel(0.3)
+    for method in (k.quantile, k.quantile_upper, k.cdf, k.survival, k.tail_expectation):
+        inside = method(np.array([0.1, 0.3, 0.7]))[1]
+        for value in (0.3, np.float64(0.3), np.array(0.3)):
+            got = method(value)
+            assert type(got) is float and got.hex() == inside.hex()
+    assert k.tail_expectation(0.0) == 0.0 and k.tail_expectation(1.0) == 1.0
+    assert k.cdf(0.0) == 0.0 and k.survival(0.0) == 1.0
     assert market._ndtri(np.array([[0.25, 0.5]])).shape == (1, 2)
     assert market._ndtr(np.array([[0.25, 0.5]])).shape == (1, 2)
 
